@@ -13,7 +13,6 @@
 //! vocabulary so its output can be costed with the very same `C(W, Q)` as the MCTS
 //! interfaces (experiment S3 in `EXPERIMENTS.md`).
 
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 use mctsui_cost::{evaluate, CostWeights, InterfaceCost};
@@ -153,15 +152,6 @@ pub fn mine_interface(queries: &[Ast], screen: Screen) -> Option<MinedInterface>
     })
 }
 
-/// Convenience: the per-slot widget histogram (how many dropdowns, sliders, ... were mined).
-pub fn widget_histogram(interface: &MinedInterface) -> FxHashMap<WidgetType, usize> {
-    let mut hist = FxHashMap::default();
-    for slot in &interface.slots {
-        *hist.entry(slot.widget_type).or_insert(0) += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,18 +224,15 @@ mod tests {
         ];
         let mined = mine_interface(&queries, Screen::wide()).unwrap();
         assert_eq!(mined.widget_count(), 1);
-        let hist = widget_histogram(&mined);
         // The TOP-N value is numeric with three values; the miner must not pick a textbox.
-        assert!(!hist.contains_key(&WidgetType::Textbox), "{hist:?}");
-    }
-
-    #[test]
-    fn widget_histogram_counts_slots() {
-        let queries = figure1_queries();
-        let mined = mine_interface(&queries, Screen::wide()).unwrap();
-        let hist = widget_histogram(&mined);
-        let total: usize = hist.values().sum();
-        assert_eq!(total, mined.widget_count());
+        assert!(
+            mined
+                .slots
+                .iter()
+                .all(|slot| slot.widget_type != WidgetType::Textbox),
+            "{:?}",
+            mined.slots
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ use rand::SeedableRng;
 /// Steady-state action generation on the Listing 1 workload: the indexed rows cycle through
 /// every one-edit successor of the factored base tree (the states a rollout step queries),
 /// so off-spine subtree summaries are memo hits; the scan row walks every node and matches
-/// every rule from scratch. Same workload definitions as `expfig actionbench`, so the
-/// criterion and expfig rows of `BENCH_actions.json` measure one thing.
+/// every rule from scratch. End to end, perfbench's `difftree.walk_us` and
+/// `difftree.steps_per_iter` measure the same layer.
 fn bench_action_generation(c: &mut Criterion) {
     let engine = RuleEngine::default();
     let (tree, successors) = is6_workload(&engine);

@@ -27,8 +27,8 @@ use mctsui_widgets::{build_widget_tree, default_assignment, LayoutSkeleton, Scre
 const K: usize = 5;
 
 /// One full state reward — default plus `k` sampled assignments — on both paths, using the
-/// shared IS5 workload definitions from `mctsui_bench` (the same ones `expfig evalbench`
-/// times, so the criterion and expfig rows of `BENCH_eval.json` measure one workload).
+/// shared IS5 workload definitions from `mctsui_bench`; end to end, perfbench's
+/// `cost.compile_us` and `cost.eval_us` measure the same layer.
 fn bench_state_reward(c: &mut Criterion) {
     let (queries, tree) = is5_workload();
     let weights = CostWeights::default();

@@ -1,12 +1,11 @@
-//! Experiment IS7: micro-benchmarks of the MCTS search loop — the sequential driver against
-//! tree parallelization (one shared tree, virtual loss) and root parallelization
-//! (independent trees) on the Listing 1 demo workload.
+//! Experiment IS7: micro-benchmark of the MCTS search loop — one whole sequential search on
+//! the Listing 1 demo workload.
 //!
-//! Record a baseline with (absolute path — `cargo bench` runs with the *package* directory
-//! as working directory, so a relative path would land in `crates/bench/`):
+//! Record a run with (absolute path — `cargo bench` runs with the *package* directory as
+//! working directory, so a relative path would land in `crates/bench/`):
 //!
 //! ```text
-//! CRITERION_JSON=$PWD/BENCH_search.json cargo bench -p mctsui-bench --bench micro_search
+//! CRITERION_JSON=$PWD/search.json cargo bench -p mctsui-bench --bench micro_search
 //! ```
 
 // The `criterion_main!` macro generates an undocumented `main`; silence the workspace
@@ -16,13 +15,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mctsui_bench::is7_problem;
-use mctsui_mcts::{Mcts, MctsConfig, ParallelMode};
+use mctsui_mcts::{MctsConfig, SearchHandle, SliceBudget};
 
 /// One measured unit is a whole (CI-sized) search: 120 iterations on the Listing 1 problem,
-/// so the numbers compare end-to-end driver overhead — ticketing, virtual loss, shared-tree
-/// publication — not just isolated pieces. On a single-core host the parallel rows measure
-/// pure coordination overhead; on multicore they show the scaling.
-fn bench_search_drivers(c: &mut Criterion) {
+/// so the number covers the end-to-end driver — selection, expansion, rollout, reward
+/// evaluation and backpropagation — not just isolated pieces.
+fn bench_search_driver(c: &mut Criterion) {
     const ITERATIONS: usize = 120;
     let problem = is7_problem(42);
     let config = MctsConfig::default()
@@ -30,47 +28,21 @@ fn bench_search_drivers(c: &mut Criterion) {
         .with_seed(42)
         .with_rollout_depth(50);
 
-    let mut group = c.benchmark_group("search_drivers_listing1");
+    let mut group = c.benchmark_group("search_listing1");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    let sequential_config = config.clone();
     group.bench_function("sequential_120it", |b| {
         b.iter(|| {
-            Mcts::new(&problem, sequential_config.clone())
-                .run()
-                .best_reward
-        })
-    });
-
-    let tree_config = config.clone().with_parallel_mode(ParallelMode::Tree);
-    group.bench_function("tree_1thread_120it", |b| {
-        b.iter(|| {
-            Mcts::new(&problem, tree_config.clone())
-                .run_parallel(1)
-                .best_reward
-        })
-    });
-    group.bench_function("tree_4threads_120it", |b| {
-        b.iter(|| {
-            Mcts::new(&problem, tree_config.clone())
-                .run_parallel(4)
-                .best_reward
-        })
-    });
-
-    let root_config = config.clone().with_parallel_mode(ParallelMode::Root);
-    group.bench_function("root_4threads_480it", |b| {
-        b.iter(|| {
-            Mcts::new(&problem, root_config.clone())
-                .run_parallel(4)
-                .best_reward
+            let mut handle = SearchHandle::new(&problem, config.clone());
+            handle.run_for(SliceBudget::unbounded());
+            handle.best_reward()
         })
     });
 
     group.finish();
 }
 
-criterion_group!(benches, bench_search_drivers);
+criterion_group!(benches, bench_search_driver);
 criterion_main!(benches);

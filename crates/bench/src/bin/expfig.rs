@@ -1,26 +1,19 @@
 //! `expfig`: regenerate the paper's figures and quantitative claims as terminal tables.
 //!
 //! ```text
-//! cargo run --release -p mctsui-bench --bin expfig -- [all|fig6|stats|convergence|strategies|baseline|hyper|scaling|evalbench|actionbench|searchbench|servebench|shardbench|appendbench] [iterations]
+//! cargo run --release -p mctsui-bench --bin expfig -- [all|fig6|stats|convergence|strategies|baseline|hyper|scaling] [iterations]
 //! ```
 //!
 //! The optional `iterations` argument sets the MCTS budget per run (default 800; the numbers
 //! recorded in `EXPERIMENTS.md` use the default). Output is deterministic for a fixed budget.
 //!
-//! `evalbench` / `actionbench` / `searchbench` / `servebench` / `shardbench` /
-//! `appendbench` additionally append their rows to `BENCH_eval.json` /
-//! `BENCH_actions.json` / `BENCH_search.json` / `BENCH_serve.json` / `BENCH_shard.json` /
-//! `BENCH_append.json` in the working directory (JSON lines, encoded with the workspace
-//! serde shim — the same encoding the serve responses use); they are excluded from `all`
-//! because they write files.
-
-use serde::Serialize;
+//! Performance is measured elsewhere: `perfbench/` runs the fixed-work end-to-end benchmark
+//! with per-layer metrics, and the Criterion benches in `crates/bench/benches` time single
+//! layers.
 
 use mctsui_bench::{
-    action_throughput_report, append_bench_report, baseline_report, convergence_report,
-    eval_throughput_report, fig6_report, hyperparameter_report, scaling_report,
-    search_scaling_report, search_space_report, serve_load_report, shard_bench_report,
-    strategy_report, EvalThroughputRow,
+    baseline_report, convergence_report, fig6_report, hyperparameter_report, scaling_report,
+    search_space_report, strategy_report,
 };
 use mctsui_mcts::Budget;
 use mctsui_render::render_ascii;
@@ -58,77 +51,6 @@ fn main() {
     if run_all || which == "scaling" {
         scaling(seed);
     }
-    if which == "evalbench" {
-        evalbench(seed);
-    }
-    if which == "actionbench" {
-        actionbench(seed);
-    }
-    if which == "searchbench" {
-        searchbench(seed);
-    }
-    if which == "servebench" {
-        servebench(seed);
-    }
-    if which == "shardbench" {
-        shardbench(seed);
-    }
-    if which == "appendbench" {
-        appendbench(seed);
-    }
-}
-
-/// Append serializable rows as JSON lines next to the other `BENCH_*` baselines, using the
-/// workspace serde encoding (one object per line) instead of ad-hoc formatting.
-fn append_json_lines<T: Serialize>(path: &str, rows: &[T]) {
-    use std::io::Write as _;
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        Ok(mut file) => {
-            for row in rows {
-                match serde_json::to_string(row) {
-                    Ok(line) => {
-                        let _ = writeln!(file, "{line}");
-                    }
-                    Err(e) => eprintln!("could not encode row: {e}"),
-                }
-            }
-            println!("appended {} rows to {path}", rows.len());
-        }
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// The JSON-lines schema of the throughput benches: the row, renamed under a
-/// `benchmark = prefix/path` label (matching the `CRITERION_JSON` baselines).
-#[derive(Serialize)]
-struct ThroughputRecord {
-    benchmark: String,
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    evals_per_sec: f64,
-    samples: usize,
-    iters_per_sample: u64,
-}
-
-fn append_bench_json(path: &str, prefix: &str, rows: &[EvalThroughputRow]) {
-    let records: Vec<ThroughputRecord> = rows
-        .iter()
-        .map(|row| ThroughputRecord {
-            benchmark: format!("{prefix}/{}", row.path),
-            median_ns: row.median_ns,
-            min_ns: row.min_ns,
-            max_ns: row.max_ns,
-            evals_per_sec: row.evals_per_sec,
-            samples: row.samples,
-            iters_per_sample: row.iters_per_sample,
-        })
-        .collect();
-    append_json_lines(path, &records);
 }
 
 fn header(title: &str) {
@@ -241,301 +163,6 @@ fn hyper(seed: u64) {
             row.exploration, row.assignments_per_eval, row.rollout_depth, row.cost
         );
     }
-}
-
-fn evalbench(seed: u64) {
-    header("IS5 — reward-evaluation throughput on Listing 1 (k = 5)");
-    let rows = eval_throughput_report(5, seed);
-    println!("{:<34} {:>14} {:>14}", "path", "median ns/eval", "evals/s");
-    for row in &rows {
-        println!(
-            "{:<34} {:>14.0} {:>14.0}",
-            row.path, row.median_ns, row.evals_per_sec
-        );
-    }
-    if let (Some(legacy), Some(fast)) = (
-        rows.iter().find(|r| r.path.starts_with("legacy")),
-        rows.iter().find(|r| r.path == "skeleton_evaluate_sampled"),
-    ) {
-        println!(
-            "\nspeedup: {:.1}x evals/s over the build-per-assignment baseline",
-            legacy.median_ns / fast.median_ns
-        );
-    }
-
-    append_bench_json("BENCH_eval.json", "expfig_eval_throughput", &rows);
-}
-
-fn actionbench(seed: u64) {
-    header("IS6 — action-generation throughput on Listing 1 (scan vs incremental index)");
-    let rows = action_throughput_report(seed);
-    println!("{:<34} {:>14} {:>14}", "path", "median ns/op", "ops/s");
-    for row in &rows {
-        println!(
-            "{:<34} {:>14.0} {:>14.0}",
-            row.path, row.median_ns, row.evals_per_sec
-        );
-    }
-    if let (Some(scan), Some(indexed)) = (
-        rows.iter().find(|r| r.path == "scan_full_walk"),
-        rows.iter()
-            .find(|r| r.path == "index_applicable_after_edit"),
-    ) {
-        println!(
-            "\nspeedup: {:.1}x steady-state action generation after one edit vs the full scan",
-            scan.median_ns / indexed.median_ns
-        );
-    }
-    if let (Some(scan), Some(draw)) = (
-        rows.iter().find(|r| r.path == "scan_full_walk"),
-        rows.iter().find(|r| r.path == "index_sample_draw"),
-    ) {
-        println!(
-            "speedup: {:.0}x one uniform rollout draw vs scanning the full fanout",
-            scan.median_ns / draw.median_ns
-        );
-    }
-
-    append_bench_json("BENCH_actions.json", "expfig_action_throughput", &rows);
-}
-
-fn searchbench(seed: u64) {
-    header("IS7 — search-loop scaling on the Listing 1 demo workload (iterations/sec)");
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host cores: {host_cpus}");
-    if host_cpus < 4 {
-        println!("(fewer than 4 cores: parallel rows are physically capped near 1.0x here)");
-    }
-    let rows = search_scaling_report(400, &[1, 2, 4, 8], seed);
-    println!(
-        "{:<12} {:>8} {:>12} {:>11} {:>13} {:>9} {:>9}",
-        "mode", "threads", "iterations", "elapsed ms", "iters/sec", "speedup", "nodes"
-    );
-    for row in &rows {
-        println!(
-            "{:<12} {:>8} {:>12} {:>11} {:>13.0} {:>8.2}x {:>9}",
-            row.mode,
-            row.threads,
-            row.iterations,
-            row.elapsed_millis,
-            row.iters_per_sec,
-            row.speedup_vs_sequential,
-            row.nodes
-        );
-    }
-    if let Some(tree4) = rows.iter().find(|r| r.mode == "tree" && r.threads == 4) {
-        println!(
-            "\ntree parallelization at 4 threads: {:.2}x sequential iterations/sec \
-             (host has {host_cpus} core{})",
-            tree4.speedup_vs_sequential,
-            if host_cpus == 1 { "" } else { "s" }
-        );
-    }
-
-    // Append JSON lines next to the other BENCH_* baselines, with the host core count on
-    // record so flat curves from single-core containers are not mistaken for regressions.
-    #[derive(Serialize)]
-    struct SearchScalingRecord {
-        benchmark: String,
-        iterations: usize,
-        elapsed_ms: u64,
-        iters_per_sec: f64,
-        speedup_vs_sequential: f64,
-        best_reward: f64,
-        nodes: usize,
-        host_cpus: usize,
-    }
-    let records: Vec<SearchScalingRecord> = rows
-        .iter()
-        .map(|row| SearchScalingRecord {
-            benchmark: format!("search_scaling/{}_t{}", row.mode, row.threads),
-            iterations: row.iterations,
-            elapsed_ms: row.elapsed_millis,
-            iters_per_sec: row.iters_per_sec,
-            speedup_vs_sequential: row.speedup_vs_sequential,
-            best_reward: row.best_reward,
-            nodes: row.nodes,
-            host_cpus,
-        })
-        .collect();
-    append_json_lines("BENCH_search.json", &records);
-}
-
-fn servebench(seed: u64) {
-    header("IS8 — closed-loop serving load test (concurrent sessions over loopback TCP)");
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host cores: {host_cpus}");
-
-    // Scale the fleet up while the engine keeps the same worker pool: per-request latency
-    // grows with concurrency, throughput should hold roughly steady once the pool is busy.
-    let engine_threads = host_cpus.min(4);
-    let rows: Vec<_> = [1usize, 4, 8]
-        .into_iter()
-        .map(|sessions| serve_load_report(sessions, engine_threads, 120, 2, seed))
-        .collect();
-
-    println!(
-        "{:<10} {:>8} {:>9} {:>11} {:>8} {:>8} {:>8} {:>8} {:>10}",
-        "sessions",
-        "threads",
-        "requests",
-        "elapsed ms",
-        "req/s",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "plan hit%"
-    );
-    for row in &rows {
-        println!(
-            "{:<10} {:>8} {:>9} {:>11} {:>8.2} {:>8} {:>8} {:>8} {:>9.0}%",
-            row.sessions,
-            row.engine_threads,
-            row.requests,
-            row.elapsed_millis,
-            row.requests_per_sec,
-            row.p50_millis,
-            row.p95_millis,
-            row.p99_millis,
-            row.plan_cache_hit_ratio * 100.0
-        );
-    }
-
-    append_json_lines("BENCH_serve.json", &rows);
-}
-
-fn shardbench(seed: u64) {
-    header("IS9 — batched cross-session evaluation with the sharded co-scheduler");
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("host cores: {host_cpus}");
-    if host_cpus < 4 {
-        println!("(fewer than 4 cores: multi-worker rows are physically capped here — the");
-        println!(" batch=1 vs batch=16 comparison at fixed workers is the honest signal)");
-    }
-
-    // The grid isolates the knobs one at a time: batch width at fixed workers (what
-    // batching buys on one core), workers at fixed batch (what sharding lets the extra
-    // workers keep), and a replicated-session pair (seed stride 0: identical search
-    // streams over one log — the same-plan-heavy workload where cross-session
-    // coalescing batches hardest).
-    let grid: [(usize, usize, usize, u64); 8] = [
-        (2, 1, 1, 1),
-        (2, 1, 16, 1),
-        (8, 1, 1, 1),
-        (8, 1, 16, 1),
-        (8, 2, 16, 1),
-        (8, 4, 16, 1),
-        (8, 1, 1, 0),
-        (8, 1, 16, 0),
-    ];
-    let rows: Vec<_> = grid
-        .into_iter()
-        .map(|(sessions, threads, batch, stride)| {
-            shard_bench_report(sessions, threads, batch, 8, 80, 2, seed, stride)
-        })
-        .collect();
-
-    println!(
-        "{:<24} {:>9} {:>10} {:>8} {:>8} {:>9} {:>10} {:>7}",
-        "row", "req/s", "iters/s", "p50 ms", "p99 ms", "batches", "mean batch", "group%"
-    );
-    for row in &rows {
-        println!(
-            "{:<24} {:>9.2} {:>10.0} {:>8} {:>8} {:>9} {:>10.2} {:>6.0}%",
-            row.benchmark.trim_start_matches("serve_shard/"),
-            row.requests_per_sec,
-            row.iters_per_sec,
-            row.p50_millis,
-            row.p99_millis,
-            row.total_batches,
-            row.mean_batch,
-            row.batch_group_hit_ratio * 100.0
-        );
-    }
-    let find = |sessions: usize, threads: usize, batch: usize, stride: u64| {
-        rows.iter().find(|r| {
-            r.sessions == sessions
-                && r.engine_threads == threads
-                && r.batch == batch
-                && r.seed_stride == stride
-        })
-    };
-    if let (Some(seq), Some(batched)) = (find(8, 1, 1, 1), find(8, 1, 16, 1)) {
-        println!(
-            "\n8 distinct sessions on one worker: {:.2}x iterations/sec at batch=16 \
-             (mean batch {:.2})",
-            batched.iters_per_sec / seq.iters_per_sec.max(1e-9),
-            batched.mean_batch
-        );
-    }
-    if let (Some(seq), Some(batched)) = (find(8, 1, 1, 0), find(8, 1, 16, 0)) {
-        println!(
-            "8 replicated sessions on one worker: {:.2}x iterations/sec at batch=16 \
-             (mean batch {:.2}, group hits {:.0}%)",
-            batched.iters_per_sec / seq.iters_per_sec.max(1e-9),
-            batched.mean_batch,
-            batched.batch_group_hit_ratio * 100.0
-        );
-    }
-
-    append_json_lines("BENCH_shard.json", &rows);
-}
-
-fn appendbench(seed: u64) {
-    header("IS13 — live log maintenance: O(change) append vs O(log) re-derive");
-    println!("per drift query: maintained graft (append+retract pair, steady state) vs");
-    println!("full `initial_difftree` + expressibility re-derive over the grown log\n");
-
-    let rows: Vec<_> = mctsui_workload::SchemaFamily::ALL
-        .iter()
-        .flat_map(|&family| append_bench_report(family, seed, 16))
-        .collect();
-
-    println!(
-        "{:<28} {:>8} {:>16} {:>15} {:>8}",
-        "benchmark", "log len", "maintained ns", "rederive ns", "ratio"
-    );
-    for row in &rows {
-        println!(
-            "{:<28} {:>8} {:>16.0} {:>15.0} {:>7.1}x",
-            row.benchmark.trim_start_matches("live_append/"),
-            row.log_len,
-            row.maintained_ns,
-            row.rederive_ns,
-            row.rederive_ns / row.maintained_ns.max(1e-9)
-        );
-    }
-
-    // The headline: along each family's drift run the maintained cost should stay flat
-    // while the re-derive cost grows with the log.
-    for family in mctsui_workload::SchemaFamily::ALL {
-        let run: Vec<_> = rows.iter().filter(|r| r.family == family.name()).collect();
-        if let (Some(first), Some(last)) = (run.first(), run.last()) {
-            println!(
-                "\n{}: maintained {:.0} -> {:.0} ns ({:.2}x) while re-derive {:.0} -> {:.0} ns \
-                 ({:.2}x) over appends {} -> {} (log {} -> {})",
-                family.name(),
-                first.maintained_ns,
-                last.maintained_ns,
-                last.maintained_ns / first.maintained_ns.max(1e-9),
-                first.rederive_ns,
-                last.rederive_ns,
-                last.rederive_ns / first.rederive_ns.max(1e-9),
-                first.append_index,
-                last.append_index,
-                first.log_len,
-                last.log_len
-            );
-        }
-    }
-
-    append_json_lines("BENCH_append.json", &rows);
 }
 
 fn scaling(seed: u64) {

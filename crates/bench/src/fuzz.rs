@@ -719,7 +719,7 @@ impl RegressionCase {
 
 /// Parse a regression-corpus document: one `<family>:<seed>` or `<family>:<seed>:<op>`
 /// per line, `#` comments.
-pub fn parse_regressions(text: &str) -> Vec<RegressionCase> {
+fn parse_regressions(text: &str) -> Vec<RegressionCase> {
     text.lines()
         .filter_map(|line| {
             let line = line.split('#').next().unwrap_or("").trim();

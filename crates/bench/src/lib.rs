@@ -13,8 +13,9 @@
 //! | A1         | [`strategy_report`] | MCTS vs greedy / random / beam ablation |
 //! | A2         | [`hyperparameter_report`] | exploration constant & `k` ablation |
 //! | A3/A4      | (micro benches only) | rule application / cost evaluation throughput |
-//! | IS5        | [`eval_throughput_report`] | skeleton vs build-per-assignment reward throughput |
-//! | IS6        | [`action_throughput_report`] | incremental action index vs full-walk applicability scan |
+//!
+//! The workload helpers [`is5_workload`], [`is6_workload`] and [`is7_problem`] fix the
+//! inputs of the `micro_eval`, `micro_actions` and `micro_search` Criterion benches.
 //!
 //! All report functions are deterministic for a given seed and budget so the recorded numbers
 //! in `EXPERIMENTS.md` can be regenerated with `cargo run -p mctsui-bench --bin expfig`.
@@ -32,7 +33,7 @@ use mctsui_difftree::RuleEngine;
 use mctsui_mcts::Budget;
 use mctsui_sql::Ast;
 use mctsui_widgets::{Screen, WidgetType};
-use mctsui_workload::{sdss_listing1, sdss_listing1_sql, LogSpec, Scenario, ScenarioId};
+use mctsui_workload::{sdss_listing1, LogSpec, Scenario, ScenarioId};
 
 /// Default iteration budget used by the reports (a CI-friendly stand-in for the paper's one
 /// minute of wall-clock search; pass a larger budget for paper-scale runs).
@@ -225,52 +226,26 @@ pub struct StrategyRow {
 
 /// Compare search strategies on a query log (experiment A1).
 pub fn strategy_report(queries: &[Ast], budget: Budget, seed: u64) -> Vec<StrategyRow> {
-    use mctsui_mcts::ParallelMode;
-    // The parallel rows put both worker topologies next to the sequential engine and the
-    // random-restart baseline. Budgets differ by topology: tree(4) splits the one shared
-    // ticket budget across its workers (same total iterations as `mcts`, spent on one
-    // tree), while root(4) gives each independent worker the full budget (4x the total
-    // iterations) — compare the `evaluations` column before comparing costs.
-    let strategies: Vec<(&str, SearchStrategy, ParallelMode)> = vec![
-        ("mcts", SearchStrategy::Mcts, ParallelMode::Tree),
-        (
-            "mcts-tree(4)",
-            SearchStrategy::MctsParallel(4),
-            ParallelMode::Tree,
-        ),
-        (
-            "mcts-root(4)",
-            SearchStrategy::MctsParallel(4),
-            ParallelMode::Root,
-        ),
-        ("greedy", SearchStrategy::Greedy, ParallelMode::Tree),
+    let strategies: Vec<(&str, SearchStrategy)> = vec![
+        ("mcts", SearchStrategy::Mcts),
+        ("greedy", SearchStrategy::Greedy),
         (
             "random-walk",
             SearchStrategy::RandomWalk {
                 walks: 120,
                 depth: 40,
             },
-            ParallelMode::Tree,
         ),
-        (
-            "beam(4,8)",
-            SearchStrategy::Beam { width: 4, depth: 8 },
-            ParallelMode::Tree,
-        ),
-        (
-            "initial-only",
-            SearchStrategy::InitialOnly,
-            ParallelMode::Tree,
-        ),
+        ("beam(4,8)", SearchStrategy::Beam { width: 4, depth: 8 }),
+        ("initial-only", SearchStrategy::InitialOnly),
     ];
     strategies
         .into_iter()
-        .map(|(name, strategy, mode)| {
-            let mut config = GeneratorConfig::paper_defaults(Screen::wide())
+        .map(|(name, strategy)| {
+            let config = GeneratorConfig::paper_defaults(Screen::wide())
                 .with_budget(budget)
                 .with_seed(seed)
                 .with_strategy(strategy);
-            config.mcts.parallel = mode;
             let interface = InterfaceGenerator::new(queries.to_vec(), config).generate();
             StrategyRow {
                 strategy: name.to_string(),
@@ -397,66 +372,6 @@ pub fn scaling_report(sizes: &[usize], budget: Budget, seed: u64) -> Vec<Scaling
         .collect()
 }
 
-/// One row of the reward-evaluation throughput comparison (experiment IS5): how many state
-/// evaluations per second each evaluation path sustains on the Listing 1 workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct EvalThroughputRow {
-    /// Which evaluation path was measured.
-    pub path: String,
-    /// Median wall time of one state evaluation (the greedy default plus `k` random widget
-    /// assignments), in nanoseconds.
-    pub median_ns: f64,
-    /// Fastest / slowest sample, in nanoseconds per evaluation.
-    pub min_ns: f64,
-    /// See `min_ns`.
-    pub max_ns: f64,
-    /// `1e9 / median_ns`: state evaluations per second.
-    pub evals_per_sec: f64,
-    /// Number of timing samples collected.
-    pub samples: usize,
-    /// Evaluations per timing sample.
-    pub iters_per_sample: u64,
-}
-
-fn time_evals<F: FnMut()>(path: &str, mut one_eval: F) -> EvalThroughputRow {
-    use std::time::{Duration, Instant};
-    // Calibrate: batch enough evaluations that one sample is comfortably measurable.
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            one_eval();
-        }
-        if start.elapsed() >= Duration::from_millis(5) || iters >= 1 << 22 {
-            break;
-        }
-        iters *= 4;
-    }
-    let mut samples_ns: Vec<f64> = Vec::new();
-    let budget = Instant::now();
-    for _ in 0..15 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            one_eval();
-        }
-        samples_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        if budget.elapsed() > Duration::from_secs(3) {
-            break;
-        }
-    }
-    samples_ns.sort_by(|a, b| a.total_cmp(b));
-    let median = samples_ns[samples_ns.len() / 2];
-    EvalThroughputRow {
-        path: path.to_string(),
-        median_ns: median,
-        min_ns: samples_ns.first().copied().unwrap_or(median),
-        max_ns: samples_ns.last().copied().unwrap_or(median),
-        evals_per_sec: 1e9 / median,
-        samples: samples_ns.len(),
-        iters_per_sample: iters,
-    }
-}
-
 /// The IS5 workload tree: the fully factored (`saturate_forward`, cap 300) difftree of the
 /// Listing 1 log, paired with the log itself.
 pub fn is5_workload() -> (Vec<Ast>, mctsui_difftree::DiffTree) {
@@ -468,8 +383,8 @@ pub fn is5_workload() -> (Vec<Ast>, mctsui_difftree::DiffTree) {
 
 /// One IS5 state reward on the **legacy** path: the greedy default plus `k` random widget
 /// assignments, each built into a widget tree and walked (the pre-skeleton reward loop, with
-/// the query context already cached). Shared by [`eval_throughput_report`] and the
-/// `micro_eval` Criterion bench so both `BENCH_eval.json` emitters measure one workload.
+/// the query context already cached). Shared by the `micro_eval` Criterion bench and the
+/// skeleton fuzz rung, which checks it against [`is5_skeleton_reward_eval`].
 pub fn is5_legacy_reward_eval(
     tree: &mctsui_difftree::DiffTree,
     ctx: &mctsui_cost::QueryContext,
@@ -511,48 +426,9 @@ pub fn is5_skeleton_reward_eval(
         .total
 }
 
-/// Measure reward-evaluation throughput on the fully factored Listing 1 difftree: the
-/// widget-tree-per-assignment baseline (the pre-skeleton reward path: `k + 1` widget trees
-/// built, enumerated and walked per evaluation) against the compiled-skeleton
-/// [`is5_skeleton_reward_eval`] path, plus the one-time skeleton compile so its amortisation
-/// is on record. One "evaluation" is a full state reward: greedy default plus `k` sampled
-/// widget assignments.
-pub fn eval_throughput_report(k: usize, seed: u64) -> Vec<EvalThroughputRow> {
-    use std::sync::Arc;
-
-    let (queries, tree) = is5_workload();
-    let weights = CostWeights::default();
-    let screen = Screen::wide();
-
-    let ctx = mctsui_cost::QueryContext::compute(&tree, &queries);
-    let mut eval_seed = seed;
-    let legacy = time_evals("legacy_build_per_assignment", || {
-        eval_seed = eval_seed.wrapping_add(1);
-        std::hint::black_box(is5_legacy_reward_eval(
-            &tree, &ctx, screen, &weights, k, eval_seed,
-        ));
-    });
-
-    let cache = mctsui_cost::ContextCache::new(Arc::from(queries.clone()));
-    let mut eval_seed = seed;
-    let skeleton = time_evals("skeleton_evaluate_sampled", || {
-        eval_seed = eval_seed.wrapping_add(1);
-        std::hint::black_box(is5_skeleton_reward_eval(
-            &cache, &tree, screen, &weights, k, eval_seed,
-        ));
-    });
-
-    let compile = time_evals("skeleton_compile_once_per_state", || {
-        std::hint::black_box(mctsui_widgets::LayoutSkeleton::compile(&tree).widget_count());
-    });
-
-    vec![legacy, skeleton, compile]
-}
-
 /// The IS6 workload: the factored Listing 1 tree plus every one-edit successor reachable
-/// from it (the states an MCTS rollout step actually queries). Shared by the `micro_actions`
-/// Criterion bench and `expfig actionbench` so both `BENCH_actions.json` emitters measure
-/// one workload.
+/// from it (the states an MCTS rollout step actually queries), as the `micro_actions`
+/// Criterion bench measures it.
 pub fn is6_workload(
     engine: &RuleEngine,
 ) -> (mctsui_difftree::DiffTree, Vec<mctsui_difftree::DiffTree>) {
@@ -565,90 +441,6 @@ pub fn is6_workload(
     (tree, successors)
 }
 
-/// Measure action-generation throughput on the fully factored Listing 1 difftree
-/// (experiment IS6): the full-walk reference scan against the incremental action index.
-///
-/// The indexed rows cycle through every one-edit successor of the base state, so each call
-/// queries a state one `replace_at` away from an already-indexed one — the steady state of
-/// an MCTS rollout, where off-spine subtree summaries are memo hits and only the edited
-/// spine (or, for revisited states, nothing at all) is re-matched. One "op" is one action
-/// query: the full `applicable` vector, the `count_applicable` total, one uniform
-/// `sample_applicable` draw, or the short-circuiting `first_applicable`.
-pub fn action_throughput_report(seed: u64) -> Vec<EvalThroughputRow> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let engine = RuleEngine::default();
-    let (tree, successors) = is6_workload(&engine);
-    assert!(!successors.is_empty(), "Listing 1 state has successors");
-
-    let scan = time_evals("scan_full_walk", || {
-        std::hint::black_box(engine.applicable_scan(&tree).len());
-    });
-
-    let mut i = 0usize;
-    let applicable = time_evals("index_applicable_after_edit", || {
-        let succ = &successors[i % successors.len()];
-        i += 1;
-        std::hint::black_box(engine.applicable(succ).len());
-    });
-
-    let mut i = 0usize;
-    let count = time_evals("index_count_after_edit", || {
-        let succ = &successors[i % successors.len()];
-        i += 1;
-        std::hint::black_box(engine.count_applicable(succ));
-    });
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut i = 0usize;
-    let sample = time_evals("index_sample_draw", || {
-        let succ = &successors[i % successors.len()];
-        i += 1;
-        std::hint::black_box(engine.sample_applicable(succ, &mut rng).is_some());
-    });
-
-    let mut i = 0usize;
-    let first = time_evals("index_first_applicable", || {
-        let succ = &successors[i % successors.len()];
-        i += 1;
-        std::hint::black_box(engine.first_applicable(succ).is_some());
-    });
-
-    // First-compute cost for the record: a fresh (empty-cache) index building every subtree
-    // summary of the base state bottom-up.
-    let cold = time_evals("index_cold_first_compute", || {
-        let fresh = RuleEngine::default();
-        std::hint::black_box(fresh.applicable(&tree).len());
-    });
-
-    vec![scan, applicable, count, sample, first, cold]
-}
-
-/// One row of the search-loop scaling curve (experiment IS7): how many full MCTS iterations
-/// per second one driver configuration sustains on the Listing 1 demo workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct SearchScalingRow {
-    /// Driver: `sequential`, `tree` (shared tree + virtual loss) or `root` (independent
-    /// trees).
-    pub mode: String,
-    /// Worker threads.
-    pub threads: usize,
-    /// Iterations completed (root mode: summed over all workers).
-    pub iterations: usize,
-    /// Wall-clock time of the whole search, in milliseconds.
-    pub elapsed_millis: u64,
-    /// `iterations / elapsed`: completed MCTS iterations per second.
-    pub iters_per_sec: f64,
-    /// Throughput relative to the sequential row of the same report.
-    pub speedup_vs_sequential: f64,
-    /// Best reward the run found (quality cross-check: parallel modes must stay in the same
-    /// range as sequential).
-    pub best_reward: f64,
-    /// Search-tree nodes materialised (root mode: summed over all workers).
-    pub nodes: usize,
-}
-
 /// The IS7 workload: the Listing 1 demo problem exactly as `mctsui --demo` builds it
 /// (paper-default screen, weights and `k`), with a CI-sized rollout depth so one iteration
 /// is dominated by the select/expand/backprop loop being measured.
@@ -657,460 +449,12 @@ pub fn is7_problem(seed: u64) -> mctsui_core::InterfaceSearchProblem {
     InterfaceGenerator::new(sdss_listing1(), config).problem()
 }
 
-/// Measure search-loop throughput on the Listing 1 demo workload (experiment IS7): the
-/// sequential reference against tree parallelization (one shared tree, virtual loss) and
-/// root parallelization (independent trees), each at every thread count in `threads`.
-///
-/// Every run gets a fresh problem (cold caches) and the same per-run iteration budget; in
-/// root mode each worker runs the full budget, so its `iterations` column grows with the
-/// thread count while tree mode splits one shared ticket budget `threads` ways. Honest
-/// caveat recorded in the row data: on a single-core host all curves are flat — the
-/// `speedup_vs_sequential` column only shows scaling when the host has cores to scale onto.
-pub fn search_scaling_report(
-    iterations: usize,
-    threads: &[usize],
-    seed: u64,
-) -> Vec<SearchScalingRow> {
-    use mctsui_mcts::{Mcts, MctsConfig, ParallelMode};
-
-    let mcts_config = MctsConfig::default()
-        .with_iterations(iterations)
-        .with_seed(seed)
-        .with_rollout_depth(50);
-
-    let measure = |mode: Option<ParallelMode>, workers: usize| -> SearchScalingRow {
-        let problem = is7_problem(seed);
-        let mut config = mcts_config.clone();
-        let started = std::time::Instant::now();
-        let outcome = match mode {
-            None => Mcts::new(&problem, config).run(),
-            Some(parallel) => {
-                config.parallel = parallel;
-                Mcts::new(&problem, config).run_parallel(workers)
-            }
-        };
-        let elapsed = started.elapsed();
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        SearchScalingRow {
-            mode: match mode {
-                None => "sequential".to_string(),
-                Some(ParallelMode::Tree) => "tree".to_string(),
-                Some(ParallelMode::Root) => "root".to_string(),
-            },
-            threads: workers,
-            iterations: outcome.stats.iterations,
-            elapsed_millis: elapsed.as_millis() as u64,
-            iters_per_sec: outcome.stats.iterations as f64 / secs,
-            speedup_vs_sequential: 0.0, // filled below
-            best_reward: outcome.best_reward,
-            nodes: outcome.stats.nodes,
-        }
-    };
-
-    let mut rows = vec![measure(None, 1)];
-    for &mode in &[ParallelMode::Tree, ParallelMode::Root] {
-        for &t in threads {
-            rows.push(measure(Some(mode), t));
-        }
-    }
-    let sequential_ips = rows[0].iters_per_sec;
-    for row in &mut rows {
-        row.speedup_vs_sequential = row.iters_per_sec / sequential_ips;
-    }
-    rows
-}
-
-/// One row of the serving load test (experiment IS8): a closed-loop load generator drives
-/// `sessions` concurrent scripted sessions (synthesize → refine^n → interact → close) over
-/// real loopback TCP against an in-process [`mctsui_serve::ServeEngine`], and the row
-/// records throughput and the request-latency distribution.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeBenchRow {
-    /// Row label (`serve_closed_loop/s{sessions}_t{threads}`).
-    pub benchmark: String,
-    /// Concurrent scripted sessions (each with its own TCP connection).
-    pub sessions: usize,
-    /// Scheduler worker threads of the engine.
-    pub engine_threads: usize,
-    /// Search iterations requested per synthesize/refine request.
-    pub iterations_per_request: u64,
-    /// Refine rounds per session after the initial synthesize.
-    pub refines_per_session: usize,
-    /// Search requests completed (sessions × (1 + refines)).
-    pub requests: usize,
-    /// Wall-clock time of the whole load run, in milliseconds.
-    pub elapsed_millis: u64,
-    /// Completed search requests per second.
-    pub requests_per_sec: f64,
-    /// Median request latency, milliseconds.
-    pub p50_millis: u64,
-    /// 95th-percentile request latency, milliseconds.
-    pub p95_millis: u64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_millis: u64,
-    /// Worst request latency, milliseconds.
-    pub max_millis: u64,
-    /// Search iterations the engine executed during the run.
-    pub total_iterations: u64,
-    /// Scheduler slices the engine executed (≫ requests when time-slicing interleaves).
-    pub total_slices: u64,
-    /// Hit ratio of the shared plan cache at the end of the run.
-    pub plan_cache_hit_ratio: f64,
-    /// Hit ratio of the global rule-binding cache at the end of the run.
-    pub action_index_hit_ratio: f64,
-    /// Host core count (single-core hosts cap concurrency; recorded to keep rows honest).
-    pub host_cpus: usize,
-}
-
-/// Run the IS8 closed-loop serving load test: `sessions` concurrent scripted sessions over
-/// loopback TCP against a fresh engine with `engine_threads` scheduler workers. Every
-/// session runs `1 + refines` search requests of `iterations` iterations each; the client
-/// verifies the anytime contract (refines never lose ground) and panics on violation.
-pub fn serve_load_report(
-    sessions: usize,
-    engine_threads: usize,
-    iterations: u64,
-    refines: usize,
-    seed: u64,
-) -> ServeBenchRow {
-    use mctsui_serve::{run_concurrent_sessions, ScriptConfig, ServeConfig, ServeEngine};
-
-    let engine = ServeEngine::start(
-        ServeConfig::default()
-            .with_threads(engine_threads)
-            .with_max_sessions(sessions.max(1) * 2),
-    );
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let server_engine = std::sync::Arc::clone(&engine);
-    let server = std::thread::spawn(move || mctsui_serve::serve_on(server_engine, listener));
-
-    // A minimal probe session over the same log, kept open across the measurement: the
-    // per-log caches live as long as some session references them, so the probe keeps the
-    // load run's cache counters observable in the post-run stats.
-    let probe = engine
-        .synthesize(sdss_listing1(), 1, 10_000, 999)
-        .expect("probe session");
-
-    let script = ScriptConfig {
-        iterations,
-        refines,
-        deadline_millis: 60_000,
-        seed,
-        seed_stride: 1,
-        ..ScriptConfig::default()
-    };
-    let started = std::time::Instant::now();
-    let reports = run_concurrent_sessions(&addr, &sdss_listing1_sql(), &script, sessions)
-        .expect("load-test session failed");
-    let elapsed = started.elapsed();
-
-    let stats = engine.stats();
-    let _ = engine.close_session(probe.session);
-    engine.begin_shutdown();
-    // Wake the accept loop so the server thread exits.
-    let _ = std::net::TcpStream::connect(&addr);
-    let _ = server.join();
-
-    let mut latencies: Vec<u64> = reports
-        .iter()
-        .flat_map(|r| r.latencies_millis.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
-    };
-    let requests = latencies.len();
-    let secs = elapsed.as_secs_f64().max(1e-9);
-
-    ServeBenchRow {
-        benchmark: format!("serve_closed_loop/s{sessions}_t{engine_threads}"),
-        sessions,
-        engine_threads,
-        iterations_per_request: iterations,
-        refines_per_session: refines,
-        requests,
-        elapsed_millis: elapsed.as_millis() as u64,
-        requests_per_sec: requests as f64 / secs,
-        p50_millis: percentile(0.50),
-        p95_millis: percentile(0.95),
-        p99_millis: percentile(0.99),
-        max_millis: latencies.last().copied().unwrap_or(0),
-        total_iterations: stats.total_iterations,
-        total_slices: stats.total_slices,
-        plan_cache_hit_ratio: stats.context_cache.plans.hit_ratio(),
-        action_index_hit_ratio: stats.action_index.hit_ratio(),
-        host_cpus: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// One row of the sharded co-scheduler benchmark (experiment IS9): the IS8 closed-loop
-/// load generator re-run across (sessions, workers, batch width) to isolate what batched
-/// cross-session leaf evaluation and sharded shared state buy. Batching counters from the
-/// engine's post-run stats prove which evaluation path produced each row.
-#[derive(Debug, Clone, Serialize)]
-pub struct ShardBenchRow {
-    /// Row label (`serve_shard/s{sessions}_t{threads}_b{batch}`).
-    pub benchmark: String,
-    /// Concurrent scripted sessions (each with its own TCP connection).
-    pub sessions: usize,
-    /// Scheduler worker threads of the engine.
-    pub engine_threads: usize,
-    /// Leaf-evaluation batch width of the engine (`1` = sequential evaluation).
-    pub batch: usize,
-    /// Shard count of the session table and the per-log caches.
-    pub shards: usize,
-    /// Search iterations requested per synthesize/refine request.
-    pub iterations_per_request: u64,
-    /// Search requests completed (sessions × (1 + refines)).
-    pub requests: usize,
-    /// Wall-clock time of the whole load run, in milliseconds.
-    pub elapsed_millis: u64,
-    /// Completed search requests per second.
-    pub requests_per_sec: f64,
-    /// Search iterations executed per second (the throughput the batch path amortizes).
-    pub iters_per_sec: f64,
-    /// Median request latency, milliseconds.
-    pub p50_millis: u64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_millis: u64,
-    /// Search iterations the engine executed during the run.
-    pub total_iterations: u64,
-    /// Batched evaluation calls the engine issued.
-    pub total_batches: u64,
-    /// Mean leaves per batched evaluation call.
-    pub mean_batch: f64,
-    /// Largest single batched evaluation call.
-    pub max_batch: u64,
-    /// Fraction of batched units that rode an earlier unit's compiled plan.
-    pub batch_group_hit_ratio: f64,
-    /// Per-session seed increment of the load script (`0` = all sessions are replicas of
-    /// one search stream — the same-plan-heavy workload; `1` = every session distinct).
-    pub seed_stride: u64,
-    /// Hit ratio of the shared plan cache at the end of the run.
-    pub plan_cache_hit_ratio: f64,
-    /// Host core count (single-core hosts cap concurrency; recorded to keep rows honest).
-    pub host_cpus: usize,
-}
-
-/// Run one IS9 configuration: `sessions` concurrent scripted sessions over loopback TCP
-/// against a fresh engine with `engine_threads` workers, leaf batches of `batch`, and
-/// `shards`-way sharded shared state. Same scripted load as [`serve_load_report`]; the
-/// anytime contract is verified client-side and violations panic.
-#[allow(clippy::too_many_arguments)]
-pub fn shard_bench_report(
-    sessions: usize,
-    engine_threads: usize,
-    batch: usize,
-    shards: usize,
-    iterations: u64,
-    refines: usize,
-    seed: u64,
-    seed_stride: u64,
-) -> ShardBenchRow {
-    use mctsui_serve::{run_concurrent_sessions, ScriptConfig, ServeConfig, ServeEngine};
-
-    let engine = ServeEngine::start(
-        ServeConfig::default()
-            .with_threads(engine_threads)
-            .with_batch(batch)
-            .with_shards(shards)
-            .with_max_sessions(sessions.max(1) * 2),
-    );
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let server_engine = std::sync::Arc::clone(&engine);
-    let server = std::thread::spawn(move || mctsui_serve::serve_on(server_engine, listener));
-
-    // Cache-stats probe, as in `serve_load_report`: keeps the per-log caches alive so the
-    // post-run counters are observable.
-    let probe = engine
-        .synthesize(sdss_listing1(), 1, 10_000, 999)
-        .expect("probe session");
-
-    let script = ScriptConfig {
-        iterations,
-        refines,
-        deadline_millis: 60_000,
-        seed,
-        seed_stride,
-        ..ScriptConfig::default()
-    };
-    let started = std::time::Instant::now();
-    let reports = run_concurrent_sessions(&addr, &sdss_listing1_sql(), &script, sessions)
-        .expect("load-test session failed");
-    let elapsed = started.elapsed();
-
-    let stats = engine.stats();
-    let _ = engine.close_session(probe.session);
-    engine.begin_shutdown();
-    let _ = std::net::TcpStream::connect(&addr);
-    let _ = server.join();
-
-    let mut latencies: Vec<u64> = reports
-        .iter()
-        .flat_map(|r| r.latencies_millis.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
-    };
-    let requests = latencies.len();
-    let secs = elapsed.as_secs_f64().max(1e-9);
-
-    ShardBenchRow {
-        benchmark: format!(
-            "serve_shard/s{sessions}_t{engine_threads}_b{batch}{}",
-            if seed_stride == 0 { "_replica" } else { "" }
-        ),
-        sessions,
-        engine_threads,
-        batch,
-        shards,
-        iterations_per_request: iterations,
-        requests,
-        elapsed_millis: elapsed.as_millis() as u64,
-        requests_per_sec: requests as f64 / secs,
-        iters_per_sec: stats.total_iterations as f64 / secs,
-        p50_millis: percentile(0.50),
-        p99_millis: percentile(0.99),
-        total_iterations: stats.total_iterations,
-        total_batches: stats.total_batches,
-        mean_batch: stats.mean_batch,
-        max_batch: stats.max_batch,
-        batch_group_hit_ratio: stats.batch_group_hit_ratio,
-        seed_stride,
-        plan_cache_hit_ratio: stats.context_cache.plans.hit_ratio(),
-        host_cpus: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// One row of the live-maintenance latency curve (experiment IS13): the cost of applying
-/// one more drift append to a session log that has grown to `log_len` entries, via the
-/// O(change) maintained tree against the O(log) from-scratch re-derive it replaces.
-#[derive(Debug, Clone, Serialize)]
-pub struct AppendBenchRow {
-    /// `live_append/<family>:<seed>/append<i>` — JSON-lines label.
-    pub benchmark: String,
-    /// Corpus family the session log was generated from.
-    pub family: String,
-    /// Corpus seed.
-    pub seed: u64,
-    /// Length of the corpus's base log (before any drift append).
-    pub base_len: usize,
-    /// Zero-based index of the drift append being applied.
-    pub append_index: usize,
-    /// Log length after this append.
-    pub log_len: usize,
-    /// Median ns for the maintained path: graft the append's leaf and patch the
-    /// expressibility memo, then undo it with a retract (both O(change); the retract keeps
-    /// the measured tree at steady state without a clone inside the timed loop).
-    pub maintained_ns: f64,
-    /// Median ns for the path it replaces: re-derive `initial_difftree` plus the full
-    /// expressibility memo (`express_entries`) over the whole grown log.
-    pub rederive_ns: f64,
-}
-
-/// Measure the IS13 live-maintenance curve for one corpus session: generate the corpus
-/// log plus `appends` drift continuations, and at each append compare the incremental
-/// graft (append + undoing retract, both O(change)) against the full re-derive of tree
-/// and expressibility memo over the grown log. As the log grows, `rederive_ns` must grow
-/// with it while `maintained_ns` stays flat — that is the subsystem's contract.
-pub fn append_bench_report(
-    family: mctsui_workload::SchemaFamily,
-    seed: u64,
-    appends: usize,
-) -> Vec<AppendBenchRow> {
-    use mctsui_difftree::derive::express_entries;
-    use mctsui_difftree::{initial_difftree, LogEntry, MaintainedTree};
-    use mctsui_workload::CorpusSpec;
-
-    let spec = CorpusSpec::new(family, seed);
-    let (log, drift) = spec.generate_with_appends(appends);
-    let parse = |sql: &String| mctsui_sql::parse_query(sql).expect("corpus sql parses");
-    let base: Vec<Ast> = log.sql.iter().map(parse).collect();
-    let drift: Vec<Ast> = drift.iter().map(parse).collect();
-
-    let mut maintained =
-        MaintainedTree::from_entries(base.iter().cloned().map(LogEntry::Parsed).collect());
-    let mut grown = base.clone();
-    let mut rows = Vec::with_capacity(drift.len());
-    for (append_index, ast) in drift.into_iter().enumerate() {
-        grown.push(ast.clone());
-        let entries: Vec<LogEntry> = grown.iter().cloned().map(LogEntry::Parsed).collect();
-
-        let incremental = time_evals("maintained", || {
-            maintained.append_query(ast.clone());
-            let fp = maintained.tree().fingerprint();
-            maintained
-                .retract_query(maintained.len() - 1)
-                .expect("undo the timed append");
-            std::hint::black_box(fp);
-        });
-        let rederive = time_evals("rederive", || {
-            let tree = initial_difftree(&grown);
-            std::hint::black_box(express_entries(tree.root(), &entries).len());
-        });
-
-        // Now apply the append for real so the next round measures a longer log.
-        maintained.append_query(ast);
-        rows.push(AppendBenchRow {
-            benchmark: format!("live_append/{}:{seed}/append{append_index}", family.name()),
-            family: family.name().to_string(),
-            seed,
-            base_len: base.len(),
-            append_index,
-            log_len: grown.len(),
-            maintained_ns: incremental.median_ns,
-            rederive_ns: rederive.median_ns,
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny_budget() -> Budget {
         Budget::Iterations(40)
-    }
-
-    #[test]
-    fn shard_bench_report_completes_and_proves_the_batch_path() {
-        let row = shard_bench_report(2, 1, 8, 8, 15, 1, 5, 1);
-        assert_eq!(row.requests, 4);
-        assert_eq!(row.total_iterations, 4 * 15 + 1);
-        assert!(row.total_batches > 0, "batched evaluation never ran");
-        assert!(row.mean_batch >= 1.0);
-        assert!(row.max_batch >= 1 && row.max_batch <= 8);
-        assert!((0.0..=1.0).contains(&row.batch_group_hit_ratio));
-        assert!(row.p50_millis <= row.p99_millis);
-    }
-
-    #[test]
-    fn serve_load_report_completes_and_measures() {
-        let row = serve_load_report(2, 1, 15, 1, 5);
-        assert_eq!(row.requests, 4);
-        assert!(row.requests_per_sec > 0.0);
-        assert!(row.p50_millis <= row.p95_millis);
-        assert!(row.p95_millis <= row.p99_millis);
-        assert!(row.p99_millis <= row.max_millis);
-        // 4 scripted requests of 15 iterations, plus the 1-iteration cache probe.
-        assert_eq!(row.total_iterations, 4 * 15 + 1);
-        assert!(row.plan_cache_hit_ratio > 0.0, "probe lost the cache stats");
     }
 
     #[test]
@@ -1174,39 +518,6 @@ mod tests {
         assert!(mcts.cost.is_finite());
         assert!(baseline.cost.is_finite());
         assert!(baseline.widgets >= 1);
-    }
-
-    #[test]
-    fn search_scaling_report_covers_both_modes_and_all_thread_counts() {
-        let rows = search_scaling_report(25, &[1, 2], 3);
-        // sequential + (tree, root) × (1, 2) threads.
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].mode, "sequential");
-        assert!((rows[0].speedup_vs_sequential - 1.0).abs() < 1e-9);
-        for row in &rows {
-            assert!(row.iterations >= 25, "{row:?} lost iterations");
-            assert!(row.iters_per_sec > 0.0);
-            assert!(row.best_reward.is_finite());
-            assert!(row.nodes >= 1);
-        }
-        // Tree mode shares one ticket budget; root mode multiplies it by the worker count.
-        let root2 = rows
-            .iter()
-            .find(|r| r.mode == "root" && r.threads == 2)
-            .unwrap();
-        assert_eq!(root2.iterations, 50);
-        let tree2 = rows
-            .iter()
-            .find(|r| r.mode == "tree" && r.threads == 2)
-            .unwrap();
-        assert_eq!(tree2.iterations, 25);
-        // The tree@1 run replays the sequential search bit for bit.
-        let tree1 = rows
-            .iter()
-            .find(|r| r.mode == "tree" && r.threads == 1)
-            .unwrap();
-        assert_eq!(tree1.best_reward.to_bits(), rows[0].best_reward.to_bits());
-        assert_eq!(tree1.nodes, rows[0].nodes);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl InterfaceDescription {
     }
 
     /// Describe an already laid-out widget tree.
-    pub fn from_widget_tree(widget_tree: WidgetTree, cost: InterfaceCost) -> Self {
+    fn from_widget_tree(widget_tree: WidgetTree, cost: InterfaceCost) -> Self {
         let choices = widget_tree
             .widgets()
             .into_iter()

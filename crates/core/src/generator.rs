@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use mctsui_cost::{CostWeights, InterfaceCost};
 use mctsui_difftree::{initial_difftree, simplified_difftree, DiffTree, RuleEngine};
-use mctsui_mcts::{Budget, Mcts, MctsConfig, SearchProblem};
+use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SearchProblem, SliceBudget};
 use mctsui_sql::Ast;
 use mctsui_widgets::{
     build_widget_tree, enumerate_assignments, Screen, WidgetChoiceMap, WidgetTree,
@@ -19,10 +19,6 @@ use crate::stats::GenerationStats;
 pub enum SearchStrategy {
     /// Monte Carlo Tree Search (the paper's approach).
     Mcts,
-    /// Parallel MCTS with this many workers. The worker topology comes from
-    /// [`MctsConfig::parallel`]: `Tree` (default) shares one search tree across workers
-    /// with virtual loss, `Root` runs independent searches and keeps the best.
-    MctsParallel(usize),
     /// Greedy hill climbing (ablation baseline).
     Greedy,
     /// Repeated random walks (ablation baseline): `(walks, depth)`.
@@ -161,12 +157,6 @@ impl InterfaceGenerator {
         Self::new(log.healthy(), config)
     }
 
-    /// Replace the rule engine (e.g. to restrict the rule set in ablations).
-    pub fn with_engine(mut self, engine: RuleEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The search problem corresponding to this generator's configuration.
     pub fn problem(&self) -> InterfaceSearchProblem {
         let initial = if self.config.dedup_queries {
@@ -193,12 +183,9 @@ impl InterfaceGenerator {
         let (best_tree, search_stats, evaluations) = match self.config.strategy {
             SearchStrategy::InitialOnly => (problem.initial_state(), None, 1),
             SearchStrategy::Mcts => {
-                let outcome = Mcts::new(&problem, self.config.mcts.clone()).run();
-                let evals = outcome.stats.evaluations;
-                (outcome.best_state, Some(outcome.stats), evals)
-            }
-            SearchStrategy::MctsParallel(workers) => {
-                let outcome = Mcts::new(&problem, self.config.mcts.clone()).run_parallel(workers);
+                let mut handle = SearchHandle::new(&problem, self.config.mcts.clone());
+                handle.run_for(SliceBudget::unbounded());
+                let outcome = handle.into_outcome();
                 let evals = outcome.stats.evaluations;
                 (outcome.best_state, Some(outcome.stats), evals)
             }
@@ -316,27 +303,18 @@ mod tests {
     fn strategies_all_produce_valid_interfaces() {
         let queries = figure1_queries();
         for strategy in [
-            // Parallel MCTS shares the Arc-backed states and the context cache across
-            // worker threads; both topologies are exercised below.
-            SearchStrategy::MctsParallel(3),
             SearchStrategy::Greedy,
             SearchStrategy::RandomWalk { walks: 5, depth: 8 },
             SearchStrategy::Beam { width: 2, depth: 2 },
             SearchStrategy::Exhaustive { max_states: 30 },
             SearchStrategy::InitialOnly,
         ] {
-            for mode in [
-                mctsui_mcts::ParallelMode::Tree,
-                mctsui_mcts::ParallelMode::Root,
-            ] {
-                let mut config = GeneratorConfig::quick(Screen::wide()).with_strategy(strategy);
-                config.mcts.parallel = mode;
-                let interface = InterfaceGenerator::new(queries.clone(), config).generate();
-                assert!(
-                    interface.cost.valid,
-                    "{strategy:?} in {mode:?} produced an invalid interface"
-                );
-            }
+            let config = GeneratorConfig::quick(Screen::wide()).with_strategy(strategy);
+            let interface = InterfaceGenerator::new(queries.clone(), config).generate();
+            assert!(
+                interface.cost.valid,
+                "{strategy:?} produced an invalid interface"
+            );
         }
     }
 

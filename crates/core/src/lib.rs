@@ -36,7 +36,6 @@ pub use describe::{ChoiceDescription, InterfaceDescription};
 pub use generator::{GeneratedInterface, GeneratorConfig, InterfaceGenerator, SearchStrategy};
 pub use live::{graft_append, LiveLog};
 pub use problem::InterfaceSearchProblem;
-pub use search::{beam_search, exhaustive_search, greedy_search, random_walk_search};
 pub use session::{InterfaceSession, SessionError};
 pub use stats::{search_space_stats, GenerationStats, SearchSpaceStats};
 pub use triage::{TriageDiagnostic, TriagedLog};

@@ -29,8 +29,8 @@ pub struct InterfaceSearchProblem {
     weights: CostWeights,
     /// Number of random widget assignments evaluated per reward call (the paper's `k`).
     pub assignments_per_eval: usize,
-    /// Fingerprint-keyed context cache shared by every evaluation (and every worker of a
-    /// root-parallel search).
+    /// Fingerprint-keyed context cache shared by every evaluation (and every thread that
+    /// evaluates this problem concurrently).
     context_cache: ContextCache,
     initial: DiffTree,
 }

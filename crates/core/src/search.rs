@@ -4,11 +4,11 @@
 //! to ~50, useful paths ~100 steps) and proposes MCTS. To quantify that claim the benchmark
 //! suite compares MCTS against:
 //!
-//! * [`greedy_search`] — hill climbing: repeatedly apply the neighbour with the best reward,
+//! * `greedy_search` — hill climbing: repeatedly apply the neighbour with the best reward,
 //!   stop at a local optimum,
-//! * [`random_walk_search`] — repeated bounded random walks keeping the best endpoint,
-//! * [`beam_search`] — breadth-limited best-first expansion,
-//! * [`exhaustive_search`] — bounded BFS over the whole neighbourhood (only feasible for tiny
+//! * `random_walk_search` — repeated bounded random walks keeping the best endpoint,
+//! * `beam_search` — breadth-limited best-first expansion,
+//! * `exhaustive_search` — bounded BFS over the whole neighbourhood (only feasible for tiny
 //!   logs / shallow depths).
 //!
 //! All of them share the state evaluation of [`InterfaceSearchProblem`] so the comparison is
@@ -39,7 +39,7 @@ pub struct BaselineOutcome {
 /// At every step all neighbours of the current state are evaluated (with `eval_seed` for the
 /// randomised widget sampling) and the best strictly improving one is taken; the search stops
 /// at a local optimum or after `max_steps`.
-pub fn greedy_search(
+pub(crate) fn greedy_search(
     problem: &InterfaceSearchProblem,
     max_steps: usize,
     eval_seed: u64,
@@ -80,7 +80,7 @@ pub fn greedy_search(
 }
 
 /// Repeated bounded random walks from the initial state, keeping the best endpoint.
-pub fn random_walk_search(
+pub(crate) fn random_walk_search(
     problem: &InterfaceSearchProblem,
     walks: usize,
     depth: usize,
@@ -125,7 +125,7 @@ pub fn random_walk_search(
 
 /// Beam search: keep the `width` best states per depth level, expand them all, repeat for
 /// `depth` levels.
-pub fn beam_search(
+pub(crate) fn beam_search(
     problem: &InterfaceSearchProblem,
     width: usize,
     depth: usize,
@@ -179,7 +179,7 @@ pub fn beam_search(
 /// fingerprint) until `max_states` have been evaluated. Only practical for very small logs;
 /// used to sanity-check that MCTS approaches the true optimum on inputs where the optimum is
 /// computable.
-pub fn exhaustive_search(
+pub(crate) fn exhaustive_search(
     problem: &InterfaceSearchProblem,
     max_states: usize,
     eval_seed: u64,

@@ -84,24 +84,9 @@ impl TriagedLog {
         mctsui_difftree::healthy_queries(&self.entries)
     }
 
-    /// Original indices of the healthy entries, aligned with [`TriagedLog::healthy`].
-    pub fn healthy_indices(&self) -> Vec<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.is_quarantined())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of quarantined entries.
     pub fn quarantined_len(&self) -> usize {
         self.entries.iter().filter(|e| e.is_quarantined()).count()
-    }
-
-    /// True when every submitted query parsed cleanly.
-    pub fn is_fully_healthy(&self) -> bool {
-        self.quarantined_len() == 0
     }
 
     /// The first failure, as `(query index, diagnostic)` — what a strict server reports.
@@ -143,7 +128,6 @@ mod tests {
             "SELECT Costs FROM sales",
         ];
         let log = TriagedLog::from_sources(&sources);
-        assert!(log.is_fully_healthy());
         assert_eq!(log.len(), 2);
         assert_eq!(log.quarantined_len(), 0);
         assert!(log.diagnostics().is_empty());
@@ -151,7 +135,6 @@ mod tests {
         // Healthy ASTs are bit-identical to the strict parse.
         let strict: Vec<_> = sources.iter().map(|s| parse_query(s).unwrap()).collect();
         assert_eq!(log.healthy(), strict);
-        assert_eq!(log.healthy_indices(), vec![0, 1]);
     }
 
     #[test]
@@ -165,7 +148,6 @@ mod tests {
         let log = TriagedLog::from_sources(&sources);
         assert_eq!(log.len(), 4);
         assert_eq!(log.quarantined_len(), 2);
-        assert_eq!(log.healthy_indices(), vec![0, 2]);
         assert_eq!(log.healthy().len(), 2);
 
         let diags = log.diagnostics();
@@ -198,7 +180,7 @@ mod tests {
     fn from_asts_is_trivially_healthy() {
         let queries = vec![parse_query("SELECT Sales FROM sales").unwrap()];
         let log = TriagedLog::from_asts(queries.clone());
-        assert!(log.is_fully_healthy());
+        assert_eq!(log.quarantined_len(), 0);
         assert_eq!(log.healthy(), queries);
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use mctsui_core::InterfaceSearchProblem;
 use mctsui_difftree::{initial_difftree, DiffTree, RuleEngine};
-use mctsui_mcts::{Budget, Mcts, MctsConfig, SearchHandle, SearchOutcome, SliceBudget};
+use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SearchOutcome, SliceBudget};
 use mctsui_sql::{parse_query, Ast};
 use mctsui_widgets::Screen;
 
@@ -60,7 +60,11 @@ fn key(o: &SearchOutcome<DiffTree>) -> (u64, u64, usize, usize, usize, Vec<(usiz
 #[test]
 fn paused_and_resumed_search_is_bit_identical_to_one_shot() {
     for seed in [7u64, 0xC0FFEE] {
-        let one_shot = Mcts::new(problem(), config(seed)).run();
+        let one_shot = {
+            let mut handle = SearchHandle::new(problem(), config(seed));
+            handle.run_for(SliceBudget::unbounded());
+            handle.into_outcome()
+        };
 
         // The serving pattern: the problem behind an Arc, the search advanced in ragged
         // slices with pauses in between (pauses are just "no call").

@@ -8,7 +8,7 @@
 
 use mctsui_core::InterfaceSearchProblem;
 use mctsui_difftree::{initial_difftree, DiffTree, RuleApplication, RuleEngine};
-use mctsui_mcts::{Budget, Mcts, MctsConfig, SearchProblem};
+use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SearchOutcome, SearchProblem, SliceBudget};
 use mctsui_sql::{parse_query, Ast};
 use mctsui_widgets::Screen;
 
@@ -59,6 +59,13 @@ fn problem() -> InterfaceSearchProblem {
     )
 }
 
+/// A one-shot search: one unbounded slice, then the outcome.
+fn run<P: SearchProblem>(problem: P, config: MctsConfig) -> SearchOutcome<P::State> {
+    let mut handle = SearchHandle::new(problem, config);
+    handle.run_for(SliceBudget::unbounded());
+    handle.into_outcome()
+}
+
 #[test]
 fn same_seed_runs_are_bit_identical_across_action_paths() {
     for seed in [7u64, 0xC0FFEE] {
@@ -68,8 +75,8 @@ fn same_seed_runs_are_bit_identical_across_action_paths() {
             ..MctsConfig::default()
         };
 
-        let indexed = Mcts::new(problem(), config.clone()).run();
-        let scanned = Mcts::new(ScanBackedProblem(problem()), config).run();
+        let indexed = run(problem(), config.clone());
+        let scanned = run(ScanBackedProblem(problem()), config);
 
         assert_eq!(
             indexed.best_reward.to_bits(),

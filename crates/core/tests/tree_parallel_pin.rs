@@ -1,15 +1,16 @@
-//! Tree-parallel MCTS pins on the real interface search problem.
+//! Windowed MCTS pins on the real interface search problem. A window is what the serving
+//! layer's batching scheduler drives: begin several iterations, evaluate the rewards they
+//! owe, then complete them in begin order.
 //!
-//! * A `ParallelMode::Tree` run with **one** worker must be bit-identical to the sequential
-//!   seeded driver — same rng stream, same selections, same `best_reward` bits. This is the
-//!   acceptance pin of the shared-tree driver: the ticketing, virtual-loss and shared-record
-//!   machinery must degenerate exactly when no concurrency is present.
-//! * Multi-worker tree runs share the problem's context cache and action index across
-//!   threads; they must complete the full ticket budget and produce a valid reward.
+//! * Windows of **one** leaf must be bit-identical to the sequential seeded search — same
+//!   rng stream, same selections, same `best_reward` bits.
+//! * Windows of four leaves, evaluated here on four threads against one shared context
+//!   cache and action index, must run the full iteration budget, and because completion
+//!   order is fixed, two runs with the same seed must agree bit for bit.
 
 use mctsui_core::InterfaceSearchProblem;
-use mctsui_difftree::{initial_difftree, RuleEngine};
-use mctsui_mcts::{Budget, Mcts, MctsConfig, ParallelMode};
+use mctsui_difftree::{initial_difftree, DiffTree, RuleEngine};
+use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SearchOutcome, SearchProblem, SliceBudget};
 use mctsui_sql::{parse_query, Ast};
 use mctsui_widgets::Screen;
 
@@ -34,66 +35,97 @@ fn problem() -> InterfaceSearchProblem {
     )
 }
 
+fn sequential(config: MctsConfig) -> SearchOutcome<DiffTree> {
+    let mut handle = SearchHandle::new(problem(), config);
+    handle.run_for(SliceBudget::unbounded());
+    handle.into_outcome()
+}
+
+fn windows(config: MctsConfig, width: usize) -> SearchOutcome<DiffTree> {
+    let mut handle = SearchHandle::new(problem(), config);
+    loop {
+        let window: Vec<_> = (0..width).map_while(|_| handle.begin_iteration()).collect();
+        if window.is_empty() {
+            break;
+        }
+        let problem = handle.problem();
+        let rewards: Vec<(f64, Option<f64>)> = std::thread::scope(|scope| {
+            let evaluations: Vec<_> = window
+                .iter()
+                .map(|leaf| {
+                    scope.spawn(move || {
+                        let node = problem.reward(&leaf.node_state, leaf.node_seed);
+                        let rollout = leaf
+                            .rollout
+                            .as_ref()
+                            .map(|(state, seed)| problem.reward(state, *seed));
+                        (node, rollout)
+                    })
+                })
+                .collect();
+            evaluations
+                .into_iter()
+                .map(|evaluation| evaluation.join().expect("evaluation thread panicked"))
+                .collect()
+        });
+        for (leaf, (node_reward, rollout_reward)) in window.into_iter().zip(rewards) {
+            handle.complete_iteration(leaf, node_reward, rollout_reward);
+        }
+    }
+    assert_eq!(handle.outstanding_virtual_loss(), 0);
+    handle.into_outcome()
+}
+
+/// Everything comparable about an outcome (wall-clock fields excluded).
+fn key(o: &SearchOutcome<DiffTree>) -> (u64, u64, usize, usize, usize, Vec<(usize, u64)>) {
+    (
+        o.best_state.fingerprint(),
+        o.best_reward.to_bits(),
+        o.stats.iterations,
+        o.stats.nodes,
+        o.stats.evaluations,
+        o.stats
+            .trace
+            .iter()
+            .map(|p| (p.iteration, p.best_reward.to_bits()))
+            .collect(),
+    )
+}
+
 #[test]
-fn tree_mode_one_worker_reproduces_the_sequential_search_bit_identically() {
+fn windows_of_one_leaf_reproduce_the_sequential_search_bit_identically() {
     for seed in [7u64, 0xC0FFEE] {
         let config = MctsConfig {
             budget: Budget::Iterations(40),
             seed,
-            parallel: ParallelMode::Tree,
             ..MctsConfig::default()
         };
-
-        let sequential = Mcts::new(problem(), config.clone()).run();
-        let tree = Mcts::new(problem(), config).run_parallel(1);
-
         assert_eq!(
-            sequential.best_reward.to_bits(),
-            tree.best_reward.to_bits(),
-            "seed {seed}: best_reward diverged between sequential and tree@1 drivers"
+            key(&sequential(config.clone())),
+            key(&windows(config, 1)),
+            "seed {seed}: windows of one leaf diverged from the sequential search"
         );
-        assert_eq!(
-            sequential.best_state.fingerprint(),
-            tree.best_state.fingerprint(),
-            "seed {seed}: best_state diverged between sequential and tree@1 drivers"
-        );
-        assert_eq!(sequential.stats.iterations, tree.stats.iterations);
-        assert_eq!(sequential.stats.nodes, tree.stats.nodes);
-        assert_eq!(sequential.stats.evaluations, tree.stats.evaluations);
-        let improvements = |o: &mctsui_mcts::SearchOutcome<mctsui_difftree::DiffTree>| {
-            o.stats
-                .trace
-                .iter()
-                .map(|p| (p.iteration, p.best_reward.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(improvements(&sequential), improvements(&tree));
     }
 }
 
 #[test]
-fn tree_mode_multi_worker_completes_and_is_no_worse_than_the_initial_state() {
-    let p = problem();
-    let initial_reward = {
-        use mctsui_mcts::SearchProblem as _;
-        p.reward(&p.initial_state(), 1)
-    };
+fn windows_of_four_run_the_full_budget_and_repeat_bit_for_bit() {
     let config = MctsConfig {
         budget: Budget::Iterations(120),
         rollout_depth: 30,
         seed: 9,
-        parallel: ParallelMode::Tree,
         ..MctsConfig::default()
     };
-    let outcome = Mcts::new(p, config).run_parallel(4);
-    assert_eq!(outcome.stats.iterations, 120);
-    assert!(outcome.best_reward.is_finite());
-    // The root is evaluated before any worker starts, so the outcome can never be worse
-    // than some evaluation of the initial state; a weaker sanity floor is enough here
-    // because the eval seed differs.
-    assert!(outcome.best_reward >= initial_reward - 1e6);
-    assert!(outcome.stats.nodes > 1);
-    for pair in outcome.stats.trace.windows(2) {
+    let first = windows(config.clone(), 4);
+    assert_eq!(first.stats.iterations, 120);
+    assert!(first.best_reward.is_finite());
+    assert!(first.stats.nodes > 1);
+    for pair in first.stats.trace.windows(2) {
         assert!(pair[1].best_reward >= pair[0].best_reward);
     }
+    assert_eq!(
+        key(&first),
+        key(&windows(config, 4)),
+        "two width-4 runs with one seed disagree"
+    );
 }

@@ -160,7 +160,7 @@ impl ContextCache {
     /// The lock is never held across the (potentially expensive) context computation:
     /// the shared expressor is checked out under the lock, used outside it, and returned.
     /// If another worker has it checked out, this worker computes with a throwaway memo
-    /// instead of blocking — root-parallel searches stay parallel, merely forgoing the
+    /// instead of blocking — concurrent evaluations stay parallel, merely forgoing the
     /// cross-state memo for the overlapping computation.
     pub fn context_for(&self, tree: &DiffTree) -> Arc<QueryContext> {
         let key = tree.fingerprint();
@@ -193,7 +193,7 @@ impl ContextCache {
     /// its compiled [`LayoutSkeleton`] and the precomputed transition tables.
     ///
     /// Same discipline as [`ContextCache::context_for`]: the lock is never held across the
-    /// compile, so root-parallel workers overlap freely and the first finished plan for a
+    /// compile, so concurrent evaluations overlap freely and the first finished plan for a
     /// fingerprint wins.
     pub fn plan_for(&self, tree: &DiffTree) -> Arc<EvalPlan> {
         let key = tree.fingerprint();
@@ -207,11 +207,6 @@ impl ContextCache {
 
         // A concurrent worker may have compiled the same state; keep the first entry.
         self.plans.insert(key, plan)
-    }
-
-    /// Number of cached per-state contexts (exposed for diagnostics).
-    pub fn cached_states(&self) -> usize {
-        self.contexts.len()
     }
 
     /// Hit/miss/eviction counters of the context and plan caches (for serving stats).
@@ -778,7 +773,7 @@ mod tests {
             // Second lookup of the same state is a hit.
             let again = tiny.context_for(&tree);
             assert_eq!(*again, direct);
-            assert!(tiny.cached_states() <= 4, "capacity bound violated");
+            assert!(tiny.contexts.len() <= 4, "capacity bound violated");
             let apps = engine.applicable(&tree);
             if apps.is_empty() {
                 break;

@@ -30,29 +30,6 @@ impl Default for CostWeights {
     }
 }
 
-impl CostWeights {
-    /// Weights that ignore the query sequence entirely (appropriateness only) — the setting
-    /// of the 2017 bottom-up baseline, useful for ablations.
-    pub fn appropriateness_only() -> Self {
-        Self {
-            appropriateness: 1.0,
-            navigation: 0.0,
-            interaction: 0.0,
-            footprint: 0.0,
-        }
-    }
-
-    /// Weights that emphasise sequence usability over widget appropriateness.
-    pub fn usability_heavy() -> Self {
-        Self {
-            appropriateness: 0.5,
-            navigation: 2.0,
-            interaction: 2.0,
-            footprint: 0.15,
-        }
-    }
-}
-
 /// The evaluated cost of one interface against one query log.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InterfaceCost {
@@ -84,7 +61,7 @@ impl InterfaceCost {
     }
 
     /// Combine the raw terms into a total using the given weights.
-    pub fn from_terms(
+    pub(crate) fn from_terms(
         appropriateness: f64,
         navigation: f64,
         interaction: f64,
@@ -159,20 +136,5 @@ mod tests {
         assert!(ok.reward() > c.reward());
         assert!(ok.better_than(&c));
         assert!(!c.better_than(&ok));
-    }
-
-    #[test]
-    fn appropriateness_only_ignores_sequence_terms() {
-        let w = CostWeights::appropriateness_only();
-        let a = InterfaceCost::from_terms(5.0, 100.0, 100.0, 3, &w);
-        let b = InterfaceCost::from_terms(5.0, 0.0, 0.0, 3, &w);
-        assert_eq!(a.total, b.total);
-    }
-
-    #[test]
-    fn usability_heavy_emphasises_navigation() {
-        let base = InterfaceCost::from_terms(1.0, 10.0, 0.0, 0, &CostWeights::default());
-        let heavy = InterfaceCost::from_terms(1.0, 10.0, 0.0, 0, &CostWeights::usability_heavy());
-        assert!(heavy.total > base.total);
     }
 }

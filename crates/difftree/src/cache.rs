@@ -206,11 +206,6 @@ impl<V: Clone> GenerationCache<V> {
         self.capacity
     }
 
-    /// Number of shards (independent locks) this cache is split over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `key`. Keys are already structural fingerprints, but a
     /// multiplicative mix keeps sequential or low-entropy keys from piling onto one shard.
     #[inline]
@@ -317,7 +312,7 @@ mod tests {
         // 64 entries over 8 shards: the total bound holds, per-shard counters sum to the
         // aggregate, and a key always lands on the same shard (get-after-insert hits).
         let cache: GenerationCache<u64> = GenerationCache::with_shards(64, 8);
-        assert_eq!(cache.shard_count(), 8);
+        assert_eq!(cache.shards.len(), 8);
         for key in 0..500u64 {
             cache.insert(key, key * 3);
             assert_eq!(cache.get(key), Some(key * 3), "read-own-insert at {key}");
@@ -338,7 +333,7 @@ mod tests {
 
         // Tiny capacities degrade to fewer shards instead of violating the bound.
         let tiny: GenerationCache<u64> = GenerationCache::with_shards(4, 8);
-        assert_eq!(tiny.shard_count(), 2);
+        assert_eq!(tiny.shards.len(), 2);
         for key in 0..100u64 {
             tiny.insert(key, key);
         }

@@ -107,25 +107,6 @@ impl ChoiceAssignment {
                 .collect(),
         )
     }
-
-    /// Number of choice decisions recorded in this assignment.
-    pub fn decision_count(&self) -> usize {
-        match self {
-            ChoiceAssignment::All(children) => {
-                children.iter().map(ChoiceAssignment::decision_count).sum()
-            }
-            ChoiceAssignment::Any { inner, .. } => 1 + inner.decision_count(),
-            ChoiceAssignment::Opt { included } => {
-                1 + included.as_ref().map_or(0, |i| i.decision_count())
-            }
-            ChoiceAssignment::Multi { reps } => {
-                1 + reps
-                    .iter()
-                    .map(ChoiceAssignment::decision_count)
-                    .sum::<usize>()
-            }
-        }
-    }
 }
 
 /// Derive the AST sequence produced by `node` under `assignment`.
@@ -248,11 +229,6 @@ impl Expressor {
     pub fn express(&mut self, node: &DiffNode, index: usize) -> Option<ChoiceAssignment> {
         let Self { queries, memo } = self;
         express_with_memo(node, &queries[index], memo)
-    }
-
-    /// Number of memoized entries (exposed for cache-pressure accounting).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
     }
 
     /// Clear the memo once it exceeds `max_entries` (a simple pressure valve for very long
@@ -517,43 +493,6 @@ fn walk_changes(
     }
 }
 
-/// Estimate of the number of distinct queries the difftree can express, saturating at
-/// `u64::MAX`. `Multi` nodes are counted with repetition counts 0..=`multi_cap`.
-pub fn language_size(node: &DiffNode, multi_cap: u32) -> u64 {
-    match node.kind() {
-        DiffKind::All => node
-            .children()
-            .iter()
-            .map(|c| language_size(c, multi_cap))
-            .fold(1u64, u64::saturating_mul),
-        DiffKind::Any => node
-            .children()
-            .iter()
-            .map(|c| language_size(c, multi_cap))
-            .fold(0u64, u64::saturating_add)
-            .max(1),
-        DiffKind::Opt => 1u64.saturating_add(
-            node.children()
-                .first()
-                .map_or(0, |c| language_size(c, multi_cap)),
-        ),
-        DiffKind::Multi => {
-            let child = node
-                .children()
-                .first()
-                .map_or(1, |c| language_size(c, multi_cap));
-            // 1 (zero reps) + child + child^2 + ... + child^cap
-            let mut total = 1u64;
-            let mut power = 1u64;
-            for _ in 0..multi_cap {
-                power = power.saturating_mul(child);
-                total = total.saturating_add(power);
-            }
-            total
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +519,6 @@ mod tests {
         assert!(express(&node, &queries[1]).is_none());
 
         let assignment = express(&node, &queries[0]).unwrap();
-        assert_eq!(assignment.decision_count(), 0);
         assert_eq!(derive_query(&node, &assignment).unwrap(), queries[0]);
     }
 
@@ -705,22 +643,6 @@ mod tests {
         // q2 -> q3 changes both.
         let c23 = changed_choice_paths(&select, &a2, &a3);
         assert_eq!(c23.len(), 2);
-    }
-
-    #[test]
-    fn language_size_counts() {
-        let queries = figure1_queries();
-        let root = DiffNode::any(queries.iter().map(DiffNode::from_ast).collect());
-        assert_eq!(language_size(&root, 3), 3);
-
-        let opt = DiffNode::opt(DiffNode::from_ast(&queries[0]));
-        assert_eq!(language_size(&opt, 3), 2);
-
-        let multi = DiffNode::multi(DiffNode::from_ast(&queries[0]));
-        assert_eq!(language_size(&multi, 3), 4);
-
-        let concrete = DiffNode::from_ast(&queries[0]);
-        assert_eq!(language_size(&concrete, 3), 1);
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl ChoiceDomain {
     pub fn is_numeric_range(&self) -> bool {
         self.value_kind == DomainValueKind::Numeric && self.numeric_values.len() >= 3
     }
-
-    /// Span of the numeric values (max - min), 0 when not numeric.
-    pub fn numeric_span(&self) -> f64 {
-        match (self.numeric_values.first(), self.numeric_values.last()) {
-            (Some(lo), Some(hi)) => hi - lo,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Collect the domains of every choice node in the tree, in pre-order.
@@ -256,7 +248,6 @@ mod tests {
         assert_eq!(d.cardinality, 3);
         assert_eq!(d.numeric_values, vec![10.0, 100.0, 1000.0]);
         assert!(d.is_numeric_range());
-        assert_eq!(d.numeric_span(), 990.0);
         assert_eq!(d.labels, vec!["10", "100", "1000"]);
     }
 

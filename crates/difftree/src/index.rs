@@ -34,8 +34,8 @@
 //! paths.
 //!
 //! The cache follows the workspace's lock discipline: the mutex is only held for lookups
-//! and inserts, never across a summary computation, so root-parallel search workers overlap
-//! freely (a concurrently computed duplicate is discarded; the first insert wins). It is a
+//! and inserts, never across a summary computation, so concurrent searches overlap freely
+//! (a concurrently computed duplicate is discarded; the first insert wins). It is a
 //! bounded [`GenerationCache`]: long-lived serving processes keep their live working set
 //! warm via second-chance promotion while cold summaries age out, and hit/miss/eviction
 //! counters are surfaced through [`ActionIndex::counters`].
@@ -74,11 +74,6 @@ impl BindingSummary {
     /// Total number of rule bindings in the summarised subtree.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Number of bindings at the subtree root itself.
-    pub fn local_count(&self) -> usize {
-        self.local.len()
     }
 }
 
@@ -202,11 +197,6 @@ impl ActionIndex {
         }
         let n = rng.gen_range(0..summary.total);
         nth_in_summary(summary, n)
-    }
-
-    /// Number of distinct subtree summaries currently memoized (for diagnostics).
-    pub fn cached_summaries(&self) -> usize {
-        self.cache.len()
     }
 
     /// Hit/miss/eviction counters of the binding cache (for serving stats).
@@ -375,7 +365,7 @@ mod tests {
             let indexed = tiny.applicable(&tree);
             let scanned = engine.applicable_scan(&tree);
             assert_eq!(indexed, scanned, "divergence at step {step}");
-            assert!(tiny.cached_summaries() <= 8, "capacity bound violated");
+            assert!(tiny.cache.len() <= 8, "capacity bound violated");
             if scanned.is_empty() {
                 break;
             }

@@ -270,11 +270,6 @@ impl DiffNode {
             && self.inner.label.is_some_and(LabelId::is_empty)
     }
 
-    /// True if this subtree contains no choice nodes (it expresses exactly one derivation).
-    pub fn is_concrete(&self) -> bool {
-        self.inner.choice_count == 0
-    }
-
     /// Number of nodes in the subtree. O(1): cached at construction.
     pub fn size(&self) -> usize {
         self.inner.size
@@ -367,7 +362,7 @@ impl DiffNode {
     /// Convert a *concrete* subtree (no choice nodes) back into the AST sequence it derives.
     ///
     /// Returns `None` if the subtree still contains choice nodes.
-    pub fn to_ast_sequence(&self) -> Option<Vec<Ast>> {
+    pub(crate) fn to_ast_sequence(&self) -> Option<Vec<Ast>> {
         match self.inner.kind {
             DiffKind::All => {
                 let label = self.label()?;
@@ -517,11 +512,6 @@ impl DiffTree {
         &self.root
     }
 
-    /// Consume the tree and return its root.
-    pub fn into_root(self) -> DiffNode {
-        self.root
-    }
-
     /// Number of nodes. O(1).
     pub fn size(&self) -> usize {
         self.root.size()
@@ -577,7 +567,7 @@ mod tests {
     fn from_ast_is_all_only_and_round_trips() {
         let ast = q("SELECT Sales FROM sales WHERE cty = 'USA'");
         let node = DiffNode::from_ast(&ast);
-        assert!(node.is_concrete());
+        assert_eq!(node.choice_count(), 0);
         assert_eq!(node.size(), ast.size());
         let seq = node.to_ast_sequence().unwrap();
         assert_eq!(seq, vec![ast]);
@@ -594,7 +584,6 @@ mod tests {
     fn choice_nodes_are_not_concrete() {
         let ast = q("SELECT Costs FROM sales");
         let any = DiffNode::any(vec![DiffNode::from_ast(&ast), DiffNode::empty()]);
-        assert!(!any.is_concrete());
         assert!(any.to_ast_sequence().is_none());
         assert_eq!(any.choice_count(), 1);
     }

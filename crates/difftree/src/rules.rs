@@ -262,7 +262,7 @@ pub(crate) fn rewrite_rule(rule: RuleId, node: &DiffNode, arg: Option<usize>) ->
 /// Action generation is served by a shared [`ActionIndex`] (fingerprint-memoized per-subtree
 /// binding summaries): after one `replace_at` only the edited spine is re-matched, every
 /// off-spine subtree hits the memo, and revisited states are a root lookup. Clones of an
-/// engine share the index, so every worker of a root-parallel search feeds the same cache.
+/// engine share the index, so every concurrent search feeds the same cache.
 /// [`RuleEngine::applicable_scan`] keeps the full-walk reference implementation for tests
 /// and benchmarks.
 #[derive(Clone)]
@@ -300,20 +300,9 @@ impl RuleEngine {
         Self::new(RuleId::FORWARD.to_vec())
     }
 
-    /// The same rule set with a different `Any2AllInverse` alternative cap. Builds a fresh
-    /// index: the cap changes which bindings exist, so cached summaries cannot carry over.
-    pub fn with_max_inverse_alternatives(self, cap: usize) -> Self {
-        Self::with_config(self.rules, cap)
-    }
-
     /// The rules this engine considers.
     pub fn rules(&self) -> &[RuleId] {
         &self.rules
-    }
-
-    /// Cap on the number of alternatives produced by `Any2AllInverse`.
-    pub fn max_inverse_alternatives(&self) -> usize {
-        self.max_inverse_alternatives
     }
 
     /// The shared action index backing this engine's applicability queries.

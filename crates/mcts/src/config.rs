@@ -20,7 +20,7 @@ pub enum Budget {
 
 impl Budget {
     /// The iteration limit implied by this budget (`usize::MAX` when unbounded).
-    pub fn max_iterations(&self) -> usize {
+    pub(crate) fn max_iterations(&self) -> usize {
         match self {
             Budget::Iterations(n) => *n,
             Budget::TimeMillis(_) => usize::MAX,
@@ -29,29 +29,13 @@ impl Budget {
     }
 
     /// The wall-clock limit implied by this budget, if any.
-    pub fn time_limit_millis(&self) -> Option<u64> {
+    pub(crate) fn time_limit_millis(&self) -> Option<u64> {
         match self {
             Budget::Iterations(_) => None,
             Budget::TimeMillis(ms) => Some(*ms),
             Budget::Either { time_millis, .. } => Some(*time_millis),
         }
     }
-}
-
-/// How [`crate::Mcts::run_parallel`] distributes its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ParallelMode {
-    /// Root parallelization: `threads` fully independent searches with derived seeds; the
-    /// best outcome wins and the workers' best-reward traces are merged into one monotone
-    /// envelope. Deterministic for a fixed seed and iteration budget, but duplicates
-    /// selection/expansion work across workers.
-    Root,
-    /// Tree parallelization: all workers share one [`crate::tree::SearchTree`], diverging
-    /// via virtual loss on descent and backpropagating with atomics. One worker reproduces
-    /// the sequential seeded search bit-identically; with more workers the iteration loop
-    /// scales with cores at the price of run-to-run scheduling nondeterminism.
-    #[default]
-    Tree,
 }
 
 /// Configuration of one MCTS run.
@@ -68,15 +52,6 @@ pub struct MctsConfig {
     /// Cap on the number of children materialised per node (progressive-widening style guard
     /// for states with very large fanout). `usize::MAX` disables the cap.
     pub max_children_per_node: usize,
-    /// Worker topology of [`crate::Mcts::run_parallel`] (ignored by the sequential
-    /// [`crate::Mcts::run`]).
-    pub parallel: ParallelMode,
-    /// Virtual-loss weight of tree parallelization: how many pseudo-visits each in-flight
-    /// concurrent descent through a node adds to its UCT score (each pseudo-visit
-    /// contributes the worst reward seen so far). `0.0` disables virtual loss — workers
-    /// then stampede the same principal variation; larger values spread them more
-    /// aggressively. Has no effect on the sequential path or on 1-worker runs.
-    pub virtual_loss: f64,
 }
 
 impl Default for MctsConfig {
@@ -87,8 +62,6 @@ impl Default for MctsConfig {
             rollout_depth: 200,
             seed: 0xC0FFEE,
             max_children_per_node: usize::MAX,
-            parallel: ParallelMode::default(),
-            virtual_loss: 1.0,
         }
     }
 }
@@ -123,18 +96,6 @@ impl MctsConfig {
         self.rollout_depth = depth;
         self
     }
-
-    /// Builder-style helper: set the parallel worker topology.
-    pub fn with_parallel_mode(mut self, mode: ParallelMode) -> Self {
-        self.parallel = mode;
-        self
-    }
-
-    /// Builder-style helper: set the virtual-loss weight of tree parallelization.
-    pub fn with_virtual_loss(mut self, weight: f64) -> Self {
-        self.virtual_loss = weight;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -166,11 +127,6 @@ mod tests {
         assert_eq!(c.exploration, 0.5);
         let t = MctsConfig::default().with_time_millis(100);
         assert_eq!(t.budget, Budget::TimeMillis(100));
-        let p = MctsConfig::default()
-            .with_parallel_mode(ParallelMode::Root)
-            .with_virtual_loss(2.5);
-        assert_eq!(p.parallel, ParallelMode::Root);
-        assert_eq!(p.virtual_loss, 2.5);
     }
 
     #[test]

@@ -1,18 +1,13 @@
-//! The UCT search engine: a sequential seeded reference driver plus two parallel drivers
-//! (root parallelization and shared-tree parallelization with virtual loss), all running
-//! over the [`crate::tree::SearchTree`] arena.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+//! The pieces of the UCT iteration that do not touch the handle's own state: the outcome
+//! types a finished search reports, the UCT child score and the rollout walk.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{MctsConfig, ParallelMode};
+use crate::config::MctsConfig;
 use crate::problem::SearchProblem;
-use crate::tree::{SearchTree, TreeNode, TreeView};
+use crate::tree::{SearchTree, TreeNode};
 
 /// One point of the best-reward-over-time trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,8 +31,7 @@ pub struct SearchStats {
     pub evaluations: usize,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_millis: u64,
-    /// The best-reward improvements over time (always ends with the final best). For
-    /// parallel runs this is the merged monotone envelope over all workers.
+    /// The best-reward improvements over time (always ends with the final best).
     pub trace: Vec<RewardTracePoint>,
 }
 
@@ -52,85 +46,33 @@ pub struct SearchOutcome<S> {
     pub stats: SearchStats,
 }
 
-/// The Monte Carlo Tree Search engine.
-pub struct Mcts<P: SearchProblem> {
-    problem: P,
-    config: MctsConfig,
-}
-
-impl<P: SearchProblem> Mcts<P> {
-    /// Create an engine for a problem with the given configuration.
-    pub fn new(problem: P, config: MctsConfig) -> Self {
-        Self { problem, config }
-    }
-
-    /// Run the search to completion and return the best state found.
-    pub fn run(&self) -> SearchOutcome<P::State> {
-        self.run_seeded(self.config.seed)
-    }
-
-    /// The sequential seeded reference driver: a [`crate::handle::SearchHandle`] run to
-    /// budget exhaustion in one slice. A [`ParallelMode::Tree`] run with one worker — and a
-    /// paused/resumed handle over the same seed — reproduce it bit-identically (pinned by
-    /// tests).
-    fn run_seeded(&self, seed: u64) -> SearchOutcome<P::State> {
-        let mut handle =
-            crate::handle::SearchHandle::with_seed(&self.problem, self.config.clone(), seed);
-        handle.run_for(crate::handle::SliceBudget::unbounded());
-        handle.into_outcome()
-    }
-
-    /// Best-UCT child among `children` (see [`select_child`]).
-    fn select_child(
-        &self,
-        view: &TreeView<'_, P::State>,
-        children: &[usize],
-        parent_visits: f64,
-        penalty: f64,
-    ) -> usize {
-        select_child(&self.config, view, children, parent_visits, penalty)
-    }
-
-    /// A bounded random walk from `start` (see [`rollout`]).
-    fn rollout(
-        &self,
-        start: &P::State,
-        rng: &mut StdRng,
-        evaluations: &mut usize,
-    ) -> Option<(P::State, f64)> {
-        rollout(&self.problem, &self.config, start, rng, evaluations)
-    }
-}
-
 /// The UCT score of `node` under a parent with `parent_ln = ln(parent_visits)`.
 ///
-/// With no virtual loss pending (always on the sequential path) this is textbook UCT —
-/// unvisited children score infinite. Pending virtual losses inflate the visit count by
-/// `virtual_loss` pseudo-visits each, every pseudo-visit contributing `penalty` (the
-/// worst reward seen so far), so concurrent workers diverge instead of stampeding one
-/// leaf. The `v == 0.0` branch keeps the no-loss arithmetic bit-identical to the
-/// sequential reference.
+/// With no virtual loss pending (always the case for a window of one leaf) this is
+/// textbook UCT — unvisited children score infinite. Each pending virtual loss adds one
+/// pseudo-visit contributing `penalty` (the worst reward seen so far), so the leaves of one
+/// window diverge instead of stampeding one leaf. The no-loss branch keeps the arithmetic
+/// bit-identical to the sequential reference.
 fn uct_score<S>(config: &MctsConfig, node: &TreeNode<S>, parent_ln: f64, penalty: f64) -> f64 {
-    let n = node.visits() as f64;
-    let v = config.virtual_loss * node.virtual_loss() as f64;
-    if v == 0.0 {
+    let n = node.visits as f64;
+    if node.virtual_loss == 0 {
         if n == 0.0 {
             f64::INFINITY
         } else {
-            node.total_reward() / n + config.exploration * ((parent_ln / n).sqrt())
+            node.total_reward / n + config.exploration * ((parent_ln / n).sqrt())
         }
     } else {
+        let v = node.virtual_loss as f64;
         let n_eff = n + v;
-        (node.total_reward() + v * penalty) / n_eff
+        (node.total_reward + v * penalty) / n_eff
             + config.exploration * ((parent_ln / n_eff).sqrt())
     }
 }
 
-/// Best-UCT child among `children` (first wins ties, matching the reference order). Shared
-/// by the sequential/resumable driver and the tree-parallel workers.
+/// Best-UCT child among `children` (first wins ties, matching the reference order).
 pub(crate) fn select_child<S>(
     config: &MctsConfig,
-    view: &TreeView<'_, S>,
+    tree: &SearchTree<S>,
     children: &[usize],
     parent_visits: f64,
     penalty: f64,
@@ -139,7 +81,7 @@ pub(crate) fn select_child<S>(
     let mut best = children[0];
     let mut best_score = f64::NEG_INFINITY;
     for &child in children {
-        let score = uct_score(config, view.node(child), parent_ln, penalty);
+        let score = uct_score(config, &tree[child], parent_ln, penalty);
         if score > best_score {
             best_score = score;
             best = child;
@@ -148,33 +90,17 @@ pub(crate) fn select_child<S>(
     best
 }
 
-/// A bounded random walk from `start`, evaluated at its endpoint. Returns `None` when the
-/// walk could not leave `start` (no applicable or successful action): the endpoint is
-/// `start` itself and the caller already holds its reward, so re-evaluating — one full
-/// batch of `k` assignment samples for problems like interface search — would be wasted.
+/// A bounded random walk from `start` whose endpoint's evaluation is owed to the caller.
+/// Returns `None` when the walk could not leave `start` (no applicable or successful
+/// action) — crucially, before the caller draws the endpoint's evaluation seed, since the
+/// endpoint is `start` itself and re-evaluating it (one full batch of `k` assignment
+/// samples for problems like interface search) would be wasted.
 ///
 /// Each step draws its action through [`SearchProblem::action_count`] +
 /// [`SearchProblem::nth_action`], so problems with an indexed action set never
 /// materialise the full fanout vector here. The rng consumption (one `gen_range` per
 /// step) and the selected actions are identical to indexing a materialised vector, so
 /// seeded runs are unchanged.
-pub(crate) fn rollout<P: SearchProblem>(
-    problem: &P,
-    config: &MctsConfig,
-    start: &P::State,
-    rng: &mut StdRng,
-    evaluations: &mut usize,
-) -> Option<(P::State, f64)> {
-    let state = rollout_walk(problem, config, start, rng)?;
-    *evaluations += 1;
-    let reward = problem.reward(&state, rng.gen());
-    Some((state, reward))
-}
-
-/// The walk half of [`rollout`]: draw the random action path but do *not* evaluate the
-/// endpoint. Returns `None` when the walk could not leave `start` — crucially, without
-/// consuming the endpoint's evaluation seed, so the rng stream of a split
-/// select/expand-then-evaluate-later driver is draw-for-draw identical to the inline one.
 pub(crate) fn rollout_walk<P: SearchProblem>(
     problem: &P,
     config: &MctsConfig,
@@ -197,379 +123,4 @@ pub(crate) fn rollout_walk<P: SearchProblem>(
         }
     }
     state
-}
-
-/// The monotone best-so-far record of a tree-parallel run: best state, best reward and the
-/// improvement trace, guarded by one mutex that workers only take when the lock-free
-/// pre-check says they may actually have an improvement.
-struct BestRecord<S> {
-    best_reward: f64,
-    best_state: S,
-    trace: Vec<RewardTracePoint>,
-}
-
-/// Shared state of one tree-parallel run.
-struct TreeRunShared<'p, S> {
-    tree: &'p SearchTree<S>,
-    start: Instant,
-    /// Iteration tickets: workers claim the next iteration number here.
-    tickets: AtomicUsize,
-    /// Fully processed iterations (what [`SearchStats::iterations`] reports).
-    completed: AtomicUsize,
-    evaluations: AtomicUsize,
-    /// `f64` bits of the current best reward — the lock-free pre-check mirror of
-    /// [`BestRecord::best_reward`].
-    best_bits: AtomicU64,
-    /// `f64` bits of the worst reward seen so far — the virtual-loss penalty.
-    min_reward_bits: AtomicU64,
-    record: Mutex<BestRecord<S>>,
-}
-
-impl<S: Clone> TreeRunShared<'_, S> {
-    /// Fold a freshly evaluated reward into the virtual-loss penalty (running minimum).
-    fn note_reward(&self, reward: f64) {
-        let mut current = self.min_reward_bits.load(Ordering::Relaxed);
-        while reward < f64::from_bits(current) {
-            match self.min_reward_bits.compare_exchange_weak(
-                current,
-                reward.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Offer a candidate best. The comparison (`reward > best`) matches the sequential
-    /// driver exactly; the mutex is only taken when the lock-free mirror says the candidate
-    /// may win.
-    fn offer_best(&self, reward: f64, state: &S, iteration: usize) {
-        if reward <= f64::from_bits(self.best_bits.load(Ordering::Relaxed)) {
-            return;
-        }
-        let mut record = self.record.lock().expect("best record poisoned");
-        if reward > record.best_reward {
-            record.best_reward = reward;
-            record.best_state = state.clone();
-            record.trace.push(RewardTracePoint {
-                iteration,
-                elapsed_millis: self.start.elapsed().as_millis() as u64,
-                best_reward: reward,
-            });
-            self.best_bits.store(reward.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-impl<P> Mcts<P>
-where
-    P: SearchProblem + Sync,
-    P::State: Send + Sync,
-{
-    /// Parallel search with `threads` workers, dispatching on
-    /// [`MctsConfig::parallel`]:
-    ///
-    /// * [`ParallelMode::Root`] — `threads` independent searches with derived seeds; the
-    ///   best outcome wins and the per-worker traces are merged into one monotone
-    ///   best-reward-over-time envelope.
-    /// * [`ParallelMode::Tree`] — one shared search tree; workers select with UCT plus
-    ///   virtual loss, expand under per-node critical sections, roll out lock-free and
-    ///   backpropagate with atomics. With one worker this reproduces [`Mcts::run`]
-    ///   bit-identically; with more it parallelises the iteration loop itself.
-    ///
-    /// Workers share the problem by reference (`P: Sync`), so a problem with internal
-    /// caching — like the interface search problem's context cache — shares its cache across
-    /// workers. Tree-parallel workers also read each other's states out of the shared arena,
-    /// hence the `P::State: Send + Sync` bound; `Arc`-backed persistent states satisfy it
-    /// for free.
-    pub fn run_parallel(&self, threads: usize) -> SearchOutcome<P::State> {
-        let threads = threads.max(1);
-        match self.config.parallel {
-            ParallelMode::Root => self.run_root_parallel(threads),
-            ParallelMode::Tree => self.run_tree_parallel(threads),
-        }
-    }
-
-    /// Root parallelization: independent trees, best outcome kept, traces merged.
-    fn run_root_parallel(&self, threads: usize) -> SearchOutcome<P::State> {
-        if threads == 1 {
-            return self.run();
-        }
-        let outcomes = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let seed = self
-                    .config
-                    .seed
-                    .wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                handles.push(scope.spawn(move || self.run_seeded(seed)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .collect::<Vec<_>>()
-        });
-
-        let mut combined_stats = SearchStats {
-            iterations: 0,
-            nodes: 0,
-            evaluations: 0,
-            elapsed_millis: 0,
-            trace: Vec::new(),
-        };
-        let mut best: Option<SearchOutcome<P::State>> = None;
-        let mut traces = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            combined_stats.iterations += outcome.stats.iterations;
-            combined_stats.nodes += outcome.stats.nodes;
-            combined_stats.evaluations += outcome.stats.evaluations;
-            combined_stats.elapsed_millis = combined_stats
-                .elapsed_millis
-                .max(outcome.stats.elapsed_millis);
-            traces.push(outcome.stats.trace.clone());
-            let is_better = best
-                .as_ref()
-                .map(|b| outcome.best_reward > b.best_reward)
-                .unwrap_or(true);
-            if is_better {
-                best = Some(outcome);
-            }
-        }
-        let mut best = best.expect("at least one worker ran");
-        // The trace reflects the whole fleet, not just the winning worker: the monotone
-        // envelope of every improvement any worker found, closed with a fleet-wide summary
-        // point.
-        combined_stats.trace = merge_trace_envelope(traces);
-        combined_stats.trace.push(RewardTracePoint {
-            iteration: combined_stats.iterations,
-            elapsed_millis: combined_stats.elapsed_millis,
-            best_reward: best.best_reward,
-        });
-        best.stats = combined_stats;
-        best
-    }
-
-    /// Tree parallelization: `threads` workers over one shared [`SearchTree`].
-    fn run_tree_parallel(&self, threads: usize) -> SearchOutcome<P::State> {
-        let start = Instant::now();
-        let seed = self.config.seed;
-
-        // The prologue consumes worker 0's rng exactly like the sequential driver's, so a
-        // 1-worker run replays `run_seeded` draw for draw.
-        let mut rng0 = StdRng::seed_from_u64(seed);
-        let root_state = self.problem.initial_state();
-        let tree =
-            SearchTree::with_root(root_state.clone(), self.problem.action_count(&root_state));
-        let root_reward = self.problem.reward(&root_state, rng0.gen());
-
-        let shared = TreeRunShared {
-            tree: &tree,
-            start,
-            tickets: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            evaluations: AtomicUsize::new(1),
-            best_bits: AtomicU64::new(root_reward.to_bits()),
-            min_reward_bits: AtomicU64::new(root_reward.to_bits()),
-            record: Mutex::new(BestRecord {
-                best_reward: root_reward,
-                best_state: root_state,
-                trace: vec![RewardTracePoint {
-                    iteration: 0,
-                    elapsed_millis: 0,
-                    best_reward: root_reward,
-                }],
-            }),
-        };
-
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let mut rng0 = Some(rng0);
-            for t in 0..threads {
-                let rng = match rng0.take() {
-                    Some(rng) => rng,
-                    None => StdRng::seed_from_u64(
-                        seed.wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
-                };
-                scope.spawn(move || self.tree_worker(shared, rng));
-            }
-        });
-
-        let elapsed_millis = start.elapsed().as_millis() as u64;
-        let iterations = shared.completed.load(Ordering::Relaxed);
-        let evaluations = shared.evaluations.load(Ordering::Relaxed);
-        let nodes = tree.len();
-        let record = shared
-            .record
-            .into_inner()
-            .expect("best record poisoned at shutdown");
-        let mut trace = record.trace;
-        trace.push(RewardTracePoint {
-            iteration: iterations,
-            elapsed_millis,
-            best_reward: record.best_reward,
-        });
-        SearchOutcome {
-            best_state: record.best_state,
-            best_reward: record.best_reward,
-            stats: SearchStats {
-                iterations,
-                nodes,
-                evaluations,
-                elapsed_millis,
-                trace,
-            },
-        }
-    }
-
-    /// One tree-parallel worker: claim iteration tickets off the shared counter and run the
-    /// select → expand → evaluate/rollout → backpropagate loop against the shared tree.
-    fn tree_worker(&self, shared: &TreeRunShared<'_, P::State>, mut rng: StdRng) {
-        let time_limit = self.config.budget.time_limit_millis();
-        let max_iterations = self.config.budget.max_iterations();
-        let cap = self.config.max_children_per_node;
-
-        let mut view = shared.tree.view();
-        let mut evaluations = 0usize;
-        let mut children_scratch: Vec<usize> = Vec::new();
-        // Nodes this iteration applied a virtual loss to (the descent path below the root,
-        // plus a freshly created child). Reverted after backpropagation, so the counters
-        // are zero again at quiescence.
-        let mut loss_applied: Vec<usize> = Vec::new();
-
-        loop {
-            let ticket = shared.tickets.fetch_add(1, Ordering::Relaxed);
-            if ticket >= max_iterations {
-                break;
-            }
-            if let Some(limit) = time_limit {
-                if shared.start.elapsed().as_millis() as u64 >= limit {
-                    break;
-                }
-            }
-            let iteration = ticket + 1;
-            loss_applied.clear();
-
-            // 1. Selection with virtual loss: children being descended by other workers
-            // look worse, so concurrent workers fan out over siblings instead of
-            // stampeding one principal variation. Capped nodes count as fully expanded
-            // (same fix as the sequential driver).
-            let mut current = 0usize;
-            loop {
-                let (parent_visits, expandable) = {
-                    let node = view.node(current);
-                    let gate = node.gate();
-                    children_scratch.clear();
-                    children_scratch.extend_from_slice(gate.children());
-                    (
-                        (node.visits() as f64).max(1.0),
-                        gate.untried_remaining() > 0 && gate.children().len() < cap,
-                    )
-                };
-                if expandable || children_scratch.is_empty() {
-                    break;
-                }
-                for &child in &children_scratch {
-                    view.ensure(child);
-                }
-                let penalty = f64::from_bits(shared.min_reward_bits.load(Ordering::Relaxed));
-                let chosen = self.select_child(&view, &children_scratch, parent_visits, penalty);
-                view.node(chosen).apply_virtual_loss();
-                loss_applied.push(chosen);
-                current = chosen;
-            }
-
-            // 2. Expansion under the node's short critical section: draw an untried action,
-            // apply it, publish the child (with a virtual loss pre-applied so concurrent
-            // selectors don't pile onto the brand-new leaf before its first backprop).
-            let mut created: Option<usize> = None;
-            {
-                let node = view.node(current);
-                let mut gate = node.gate();
-                if gate.untried_remaining() > 0 && gate.children().len() < cap {
-                    let j = rng.gen_range(0..gate.untried_remaining());
-                    let index = gate.take_untried(j);
-                    if let Some(next_state) = self
-                        .problem
-                        .nth_action(node.state(), index)
-                        .and_then(|action| self.problem.apply(node.state(), &action))
-                    {
-                        let untried = self.problem.action_count(&next_state);
-                        let child = shared.tree.push_with_virtual_loss(
-                            next_state,
-                            Some(current),
-                            untried,
-                            1,
-                        );
-                        gate.push_child(child);
-                        created = Some(child);
-                    }
-                }
-            }
-            let expanded = match created {
-                Some(child) => {
-                    loss_applied.push(child);
-                    view.ensure(child);
-                    child
-                }
-                None => current,
-            };
-
-            // 3a. Evaluate the expanded state (see the sequential driver for why).
-            let node_reward = self.problem.reward(view.node(expanded).state(), rng.gen());
-            evaluations += 1;
-            shared.note_reward(node_reward);
-            shared.offer_best(node_reward, view.node(expanded).state(), iteration);
-
-            // 3b. Rollout, lock-free against the problem's shared caches.
-            let reward = match self.rollout(view.node(expanded).state(), &mut rng, &mut evaluations)
-            {
-                Some((rollout_state, rollout_reward)) => {
-                    shared.note_reward(rollout_reward);
-                    shared.offer_best(rollout_reward, &rollout_state, iteration);
-                    node_reward.max(rollout_reward)
-                }
-                None => node_reward,
-            };
-
-            // 4. Backpropagate with atomics, then revert this iteration's virtual losses.
-            let mut cursor = Some(expanded);
-            while let Some(id) = cursor {
-                let node = view.node(id);
-                node.record_visit(reward);
-                cursor = node.parent();
-            }
-            for &id in &loss_applied {
-                view.node(id).revert_virtual_loss();
-            }
-
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-        }
-
-        shared.evaluations.fetch_add(evaluations, Ordering::Relaxed);
-    }
-}
-
-/// Merge per-worker best-reward traces into one monotone best-reward-over-time envelope:
-/// points are ordered by wall-clock time and a point survives only if it improves on
-/// everything earlier, so the curve reads as "the fleet's best known reward at time t".
-pub(crate) fn merge_trace_envelope(traces: Vec<Vec<RewardTracePoint>>) -> Vec<RewardTracePoint> {
-    let mut all: Vec<RewardTracePoint> = traces.into_iter().flatten().collect();
-    all.sort_by(|a, b| {
-        a.elapsed_millis
-            .cmp(&b.elapsed_millis)
-            .then(a.iteration.cmp(&b.iteration))
-            .then(a.best_reward.total_cmp(&b.best_reward))
-    });
-    let mut envelope: Vec<RewardTracePoint> = Vec::new();
-    for point in all {
-        match envelope.last() {
-            None => envelope.push(point),
-            Some(last) if point.best_reward > last.best_reward => envelope.push(point),
-            Some(_) => {}
-        }
-    }
-    envelope
 }

@@ -1,22 +1,24 @@
-//! Resumable search: a [`SearchHandle`] owns a live search tree plus its rng and best-so-far
-//! record, and advances the sequential seeded search in bounded *slices*.
+//! The search driver: a [`SearchHandle`] owns a live search tree plus its rng and
+//! best-so-far record, and advances the seeded UCT search in bounded *slices*.
 //!
-//! The one-shot driver ([`crate::Mcts::run`]) builds its tree, searches to budget
-//! exhaustion and throws the tree away. A serving process cannot afford that: a user who
-//! asks for "a bit more search" on the same session should warm-start from the tree the
-//! previous request grew, not rebuild it from the root. `SearchHandle` is that warm state
-//! made explicit — it can be driven with [`SearchHandle::run_for`] under per-request
-//! iteration caps and deadlines, paused indefinitely between slices, and queried for the
-//! anytime best-so-far answer at every point.
+//! Every way of running the search goes through it. A one-shot search is one unbounded
+//! slice ([`SearchHandle::run_for`] with [`SliceBudget::unbounded`], then
+//! [`SearchHandle::into_outcome`]). A serving process keeps the handle between requests, so
+//! a user who asks for "a bit more search" on the same session warm-starts from the tree
+//! the previous request grew: the handle can be driven under per-request iteration caps and
+//! deadlines, paused indefinitely between slices, and queried for the anytime best-so-far
+//! answer at every point. The serving layer's batching co-scheduler splits each iteration
+//! at the reward evaluation ([`SearchHandle::begin_iteration`] /
+//! [`SearchHandle::complete_iteration`]) and evaluates a window of pending leaves at once.
 //!
 //! **Determinism pin:** slicing is invisible to the search. A handle driven in any sequence
-//! of slices consumes exactly the rng stream of the one-shot sequential driver, so once the
-//! handle's total budget is exhausted, its best state, best reward bits, node/evaluation
-//! counts and improvement trace are bit-identical to [`crate::Mcts::run`] with the same
-//! seed (`run` is itself implemented as a single unbounded slice; the equivalence is pinned
-//! by `tests/resumable.rs` and by `crates/core/tests/resumable_pin.rs` on the real
-//! interface-search problem). Wall-clock fields (`elapsed_millis`) are the only exception —
-//! they measure real time and are never compared.
+//! of slices consumes exactly the rng stream of one unbounded slice, so once the handle's
+//! total budget is exhausted, its best state, best reward bits, node/evaluation counts and
+//! improvement trace are bit-identical to the one-shot run with the same seed (pinned by
+//! `tests/resumable.rs` and by `crates/core/tests/resumable_pin.rs` on the real
+//! interface-search problem). Windows of `n` leaves are a function of `(seed, n)` alone.
+//! Wall-clock fields (`elapsed_millis`) are the only exception — they measure real time and
+//! are never compared.
 
 use std::time::Instant;
 
@@ -91,10 +93,10 @@ pub struct SliceReport {
 ///
 /// While a leaf is pending, every node on its selection path (plus the freshly created
 /// child) holds one virtual loss, so further `begin_iteration` calls before completion fan
-/// out over siblings instead of stampeding the same leaf — the same discipline as the
-/// tree-parallel workers. Reward evaluation is pure per `(state, seed)` and consumes no
-/// shared rng, so evaluating pending leaves out of line (on another thread, batched with
-/// leaves of other searches) cannot perturb the search stream.
+/// out over siblings instead of stampeding the same leaf. Reward evaluation is pure per
+/// `(state, seed)` and consumes no shared rng, so evaluating pending leaves out of line (on
+/// another thread, batched with leaves of other searches) cannot perturb the search
+/// stream.
 pub struct PendingLeaf<S> {
     /// The iteration number this leaf was drawn for (1-based, as the handle counts them).
     pub iteration: usize,
@@ -110,8 +112,8 @@ pub struct PendingLeaf<S> {
     loss_path: Vec<usize>,
 }
 
-/// A pausable, resumable sequential MCTS run: the live [`SearchTree`], the rng mid-stream,
-/// and the monotone best-so-far record. See the module docs for the determinism contract.
+/// A pausable, resumable MCTS run: the live search tree, the rng mid-stream, and the
+/// monotone best-so-far record. See the module docs for the determinism contract.
 pub struct SearchHandle<P: SearchProblem> {
     problem: P,
     config: MctsConfig,
@@ -134,15 +136,8 @@ impl<P: SearchProblem> SearchHandle<P> {
     /// expansion bookkeeping and the root's reward evaluation) so the handle answers
     /// best-so-far queries immediately, before any slice has run.
     pub fn new(problem: P, config: MctsConfig) -> Self {
-        let seed = config.seed;
-        Self::with_seed(problem, config, seed)
-    }
-
-    /// [`SearchHandle::new`] with an explicit seed overriding `config.seed` (used by
-    /// root-parallel workers, which derive per-worker seeds).
-    pub fn with_seed(problem: P, config: MctsConfig, seed: u64) -> Self {
         let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(config.seed);
         let root_state = problem.initial_state();
         let tree = SearchTree::with_root(root_state.clone(), problem.action_count(&root_state));
         let root_reward = problem.reward(&root_state, rng.gen());
@@ -172,12 +167,12 @@ impl<P: SearchProblem> SearchHandle<P> {
     /// budget is exhausted. Virtual losses are held on the leaf's path until
     /// [`SearchHandle::complete_iteration`] or [`SearchHandle::abort_iteration`] settles it.
     ///
-    /// Driving the handle as `begin → evaluate → complete`, one leaf at a time, consumes
-    /// exactly the rng stream of the inline driver ([`SearchHandle::run_for`] is itself
-    /// implemented that way), so the split is invisible to the determinism pins. Beginning
-    /// several iterations before completing any is also legal — that is the pipelining mode
-    /// a batching scheduler uses — but diversifies selection through the held virtual
-    /// losses, so it reproduces the inline stream only at pipeline depth 1.
+    /// Driving the handle as `begin → evaluate → complete`, one leaf at a time, is exactly
+    /// [`SearchHandle::run_for`], so the split is invisible to the determinism pins.
+    /// Beginning several iterations before completing any is also legal — that is the
+    /// window mode of a batching scheduler — but diversifies selection through the held
+    /// virtual losses, so it reproduces the sequential stream only with windows of one
+    /// leaf.
     pub fn begin_iteration(&mut self) -> Option<PendingLeaf<P::State>> {
         if self.exhausted || self.iterations >= self.config.budget.max_iterations() {
             self.exhausted = true;
@@ -185,91 +180,60 @@ impl<P: SearchProblem> SearchHandle<P> {
         }
         self.iterations += 1;
         let cap = self.config.max_children_per_node;
-        let mut view = self.tree.view();
-        let mut children_scratch: Vec<usize> = Vec::new();
         let mut loss_path: Vec<usize> = Vec::new();
 
         // 1. Selection: follow best-UCT children until an expandable node, applying one
         // virtual loss per descended edge. With no other leaf pending every loss counter is
-        // zero during scoring, so the `v == 0` branch of the UCT score keeps the arithmetic
-        // bit-identical to the lossless inline driver.
+        // zero during scoring, so the no-loss branch of the UCT score keeps the arithmetic
+        // bit-identical to the lossless sequential search.
         let mut current = 0usize;
         loop {
-            let (parent_visits, expandable) = {
-                let node = view.node(current);
-                let gate = node.gate();
-                children_scratch.clear();
-                children_scratch.extend_from_slice(gate.children());
-                (
-                    (node.visits() as f64).max(1.0),
-                    gate.untried_remaining() > 0 && gate.children().len() < cap,
-                )
-            };
-            if expandable || children_scratch.is_empty() {
+            let node = &self.tree[current];
+            if node.expandable(cap) || node.children.is_empty() {
                 break;
-            }
-            for &child in &children_scratch {
-                view.ensure(child);
             }
             let chosen = select_child(
                 &self.config,
-                &view,
-                &children_scratch,
-                parent_visits,
+                &self.tree,
+                &node.children,
+                (node.visits as f64).max(1.0),
                 self.min_reward,
             );
-            view.node(chosen).apply_virtual_loss();
+            self.tree[chosen].virtual_loss += 1;
             loss_path.push(chosen);
             current = chosen;
         }
 
         // 2. Expansion: draw one untried action on demand and materialise it as a new
-        // child (born with a virtual loss so concurrent begins don't pile onto it).
-        let mut created: Option<usize> = None;
-        {
-            let node = view.node(current);
-            let mut gate = node.gate();
-            if gate.untried_remaining() > 0 && gate.children().len() < cap {
-                let j = self.rng.gen_range(0..gate.untried_remaining());
-                let index = gate.take_untried(j);
-                if let Some(next_state) = self
-                    .problem
-                    .nth_action(node.state(), index)
-                    .and_then(|action| self.problem.apply(node.state(), &action))
-                {
-                    let untried = self.problem.action_count(&next_state);
-                    let child =
-                        self.tree
-                            .push_with_virtual_loss(next_state, Some(current), untried, 1);
-                    gate.push_child(child);
-                    created = Some(child);
-                }
+        // child (born with a virtual loss so further begins don't pile onto it).
+        let mut expanded = current;
+        if self.tree[current].expandable(cap) {
+            let j = self
+                .rng
+                .gen_range(0..self.tree[current].untried_remaining());
+            let index = self.tree[current].take_untried(j);
+            let state = &self.tree[current].state;
+            if let Some(next_state) = self
+                .problem
+                .nth_action(state, index)
+                .and_then(|action| self.problem.apply(state, &action))
+            {
+                let untried = self.problem.action_count(&next_state);
+                expanded = self.tree.add_child(current, next_state, untried);
+                loss_path.push(expanded);
             }
         }
-        let expanded = match created {
-            Some(child) => {
-                loss_path.push(child);
-                view.ensure(child);
-                child
-            }
-            None => current,
-        };
 
-        // 3. Draw the evaluation seeds in the inline driver's order: the expanded node's
-        // seed first, then the rollout walk, then (only if the walk moved) the endpoint
-        // seed. The evaluations themselves are owed to the caller.
+        // 3. Draw the evaluation seeds in the sequential search's order: the expanded
+        // node's seed first, then the rollout walk, then (only if the walk moved) the
+        // endpoint seed. The evaluations themselves are owed to the caller.
         let node_seed = self.rng.gen();
-        let node_state = view.node(expanded).state().clone();
-        let rollout = rollout_walk(
-            &self.problem,
-            &self.config,
-            view.node(expanded).state(),
-            &mut self.rng,
-        )
-        .map(|state| {
-            let seed = self.rng.gen();
-            (state, seed)
-        });
+        let node_state = self.tree[expanded].state.clone();
+        let rollout =
+            rollout_walk(&self.problem, &self.config, &node_state, &mut self.rng).map(|state| {
+                let seed = self.rng.gen();
+                (state, seed)
+            });
 
         Some(PendingLeaf {
             iteration: self.iterations,
@@ -330,17 +294,8 @@ impl<P: SearchProblem> SearchHandle<P> {
             _ => node_reward,
         };
 
-        let mut view = self.tree.view();
-        view.ensure(leaf.node);
-        let mut cursor = Some(leaf.node);
-        while let Some(id) = cursor {
-            let node = view.node(id);
-            node.record_visit(reward);
-            cursor = node.parent();
-        }
-        for &id in &leaf.loss_path {
-            view.node(id).revert_virtual_loss();
-        }
+        self.tree.backpropagate(leaf.node, reward);
+        self.tree.release_virtual_loss(&leaf.loss_path);
     }
 
     /// Abandon a pending leaf without evaluating it: release its virtual losses and
@@ -350,35 +305,23 @@ impl<P: SearchProblem> SearchHandle<P> {
     /// half consumed are *not* rolled back, so determinism pins do not extend across aborts
     /// (deadline expiry is inherently timing-dependent).
     pub fn abort_iteration(&mut self, leaf: PendingLeaf<P::State>) {
-        let mut view = self.tree.view();
-        view.ensure(leaf.node);
-        for &id in &leaf.loss_path {
-            view.node(id).revert_virtual_loss();
-        }
+        self.tree.release_virtual_loss(&leaf.loss_path);
         self.iterations -= 1;
     }
 
     /// Total virtual loss currently held across the tree (diagnostics: zero at quiescence,
     /// i.e. whenever no leaf is pending).
     pub fn outstanding_virtual_loss(&self) -> u64 {
-        let mut view = self.tree.view();
-        let mut total = 0u64;
-        for id in 0..self.tree.len() {
-            view.ensure(id);
-            total += view.node(id).virtual_loss() as u64;
-        }
-        total
+        self.tree.outstanding_virtual_loss()
     }
 
     /// Advance the search by one bounded slice, then pause. Returns what the slice did;
     /// calling again continues exactly where this call stopped (same rng stream, same
     /// tree), so any slicing reproduces the one-shot run bit-identically.
     ///
-    /// Implemented as the split driver at pipeline depth 1 — `begin_iteration`, evaluate
-    /// the owed rewards inline, `complete_iteration` — which consumes exactly the rng
-    /// stream of the historical inline loop (reward evaluation is pure per `(state,
-    /// seed)`, and the one pending leaf's virtual losses are reverted before the next
-    /// selection scores anything).
+    /// This is the split driver with a window of one leaf — `begin_iteration`, evaluate the
+    /// owed rewards inline, `complete_iteration` — so the one pending leaf's virtual losses
+    /// are released before the next selection scores anything.
     pub fn run_for(&mut self, slice: SliceBudget) -> SliceReport {
         let slice_start = Instant::now();
         let start_iterations = self.iterations;

@@ -13,45 +13,78 @@
 //!    new state and evaluate the final state's reward.
 //! 4. **Backpropagation** — add the reward to every node on the path.
 //!
-//! The engine is deterministic for a fixed seed, supports wall-clock and iteration budgets,
-//! records a best-reward-over-time trace (used by the convergence experiments), and offers
-//! two parallel drivers built on std's scoped threads (see [`ParallelMode`]):
+//! There is one driver, [`SearchHandle`]. It owns the search tree (a plain `Vec` of nodes),
+//! the rng mid-stream and the best-so-far record, and it advances the search in bounded
+//! slices ([`SearchHandle::run_for`]); a one-shot search is one unbounded slice followed by
+//! [`SearchHandle::into_outcome`]. The search is deterministic for a fixed seed, supports
+//! wall-clock and iteration budgets, and records a best-reward-over-time trace (used by the
+//! convergence experiments). Any slicing reproduces the one-shot run bit-identically, so a
+//! serving layer can pause a session's search between requests and warm-start it later;
+//! [`HandleSnapshot`] carries a paused handle across process restarts.
 //!
-//! * **Root parallelization** — independent trees with derived seeds, best outcome kept,
-//!   traces merged into one monotone envelope. Deterministic, but duplicates work.
-//! * **Tree parallelization** — all workers share one [`tree::SearchTree`] arena: UCT
-//!   selection with *virtual loss* (applied on descent, reverted on backprop, so concurrent
-//!   workers diverge instead of stampeding one leaf), expansion under per-node short
-//!   critical sections, lock-free rollouts and atomic backpropagation. One worker
-//!   reproduces the sequential seeded search bit-identically (pinned by tests).
-//!
-//! A third driver makes the search **resumable**: a [`handle::SearchHandle`] owns a live
-//! tree plus its rng mid-stream and advances in bounded slices
-//! ([`handle::SearchHandle::run_for`]) — the warm-started anytime search that the serving
-//! layer multiplexes sessions over. Any slicing reproduces the one-shot sequential run
-//! bit-identically.
+//! Each iteration splits at its reward evaluation: [`SearchHandle::begin_iteration`]
+//! selects and expands a leaf, the caller evaluates the rewards it owes, and
+//! [`SearchHandle::complete_iteration`] backpropagates them. Beginning several leaves
+//! before completing any opens a *window*; every pending leaf holds a virtual loss on its
+//! path, so the leaves of one window spread over siblings instead of stampeding one leaf.
+//! The serving layer batches windows across sessions. Completed in begin order, a run of
+//! windows of `n` leaves depends only on `(seed, n)`, and a window of one leaf is the
+//! sequential search.
 
-pub mod config;
-pub mod engine;
-pub mod handle;
-pub mod problem;
-pub mod snapshot;
-pub mod tree;
+mod config;
+mod engine;
+mod handle;
+mod problem;
+mod snapshot;
+mod tree;
 
-pub use config::{Budget, MctsConfig, ParallelMode};
-pub use engine::{Mcts, RewardTracePoint, SearchOutcome, SearchStats};
+pub use config::{Budget, MctsConfig};
+pub use engine::{RewardTracePoint, SearchOutcome, SearchStats};
 pub use handle::{PendingLeaf, SearchHandle, SliceBudget, SliceReport};
 pub use problem::SearchProblem;
 pub use snapshot::HandleSnapshot;
-pub use tree::{NodeRecord, SearchTree};
+pub use tree::NodeRecord;
 
 #[cfg(test)]
 mod tests {
     //! End-to-end tests of the engine on small synthetic problems with known optima.
 
-    use crate::config::{Budget, MctsConfig, ParallelMode};
-    use crate::engine::{merge_trace_envelope, Mcts, RewardTracePoint};
+    use crate::config::{Budget, MctsConfig};
+    use crate::engine::{RewardTracePoint, SearchOutcome};
+    use crate::handle::{SearchHandle, SliceBudget};
     use crate::problem::SearchProblem;
+
+    /// A one-shot search: one unbounded slice, then the outcome.
+    fn run<P: SearchProblem>(problem: P, config: MctsConfig) -> SearchOutcome<P::State> {
+        let mut handle = SearchHandle::new(problem, config);
+        handle.run_for(SliceBudget::unbounded());
+        handle.into_outcome()
+    }
+
+    /// The same search in windows of `width` leaves, driven the way a batching scheduler
+    /// drives it: begin a window, evaluate its owed rewards, complete in begin order.
+    fn run_windows<P: SearchProblem>(
+        problem: P,
+        config: MctsConfig,
+        width: usize,
+    ) -> SearchOutcome<P::State> {
+        let mut handle = SearchHandle::new(problem, config);
+        loop {
+            let window: Vec<_> = (0..width).map_while(|_| handle.begin_iteration()).collect();
+            if window.is_empty() {
+                break;
+            }
+            for leaf in window {
+                let node_reward = handle.problem().reward(&leaf.node_state, leaf.node_seed);
+                let rollout_reward = leaf
+                    .rollout
+                    .as_ref()
+                    .map(|(state, seed)| handle.problem().reward(state, *seed));
+                handle.complete_iteration(leaf, node_reward, rollout_reward);
+            }
+        }
+        handle.into_outcome()
+    }
 
     /// A toy problem: states are bit strings of length `n`, actions flip a bit or stop; the
     /// reward is the number of ones. The optimum is all ones with reward `n`.
@@ -135,7 +168,7 @@ mod tests {
             seed: 7,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(problem, config).run();
+        let outcome = run(problem, config);
         assert_eq!(outcome.best_reward, 6.0);
         assert!(outcome.best_state.iter().all(|b| *b));
         assert!(outcome.stats.iterations <= 600);
@@ -150,7 +183,7 @@ mod tests {
             seed: 3,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(DeepBonus, config).run();
+        let outcome = run(DeepBonus, config);
         assert_eq!(
             outcome.best_reward, 100.0,
             "MCTS should discover the deep bonus state"
@@ -165,8 +198,8 @@ mod tests {
             seed: 99,
             ..MctsConfig::default()
         };
-        let a = Mcts::new(BitFlip { n: 5 }, config.clone()).run();
-        let b = Mcts::new(BitFlip { n: 5 }, config).run();
+        let a = run(BitFlip { n: 5 }, config.clone());
+        let b = run(BitFlip { n: 5 }, config);
         assert_eq!(a.best_reward, b.best_reward);
         assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.stats.iterations, b.stats.iterations);
@@ -179,7 +212,7 @@ mod tests {
             seed: 5,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(BitFlip { n: 8 }, config).run();
+        let outcome = run(BitFlip { n: 8 }, config);
         let rewards: Vec<f64> = outcome.stats.trace.iter().map(|p| p.best_reward).collect();
         assert!(!rewards.is_empty());
         for pair in rewards.windows(2) {
@@ -194,7 +227,7 @@ mod tests {
             seed: 1,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(BitFlip { n: 10 }, config).run();
+        let outcome = run(BitFlip { n: 10 }, config);
         assert!(outcome.stats.iterations <= 25);
     }
 
@@ -206,62 +239,48 @@ mod tests {
             ..MctsConfig::default()
         };
         let start = std::time::Instant::now();
-        let _ = Mcts::new(BitFlip { n: 12 }, config).run();
+        let _ = run(BitFlip { n: 12 }, config);
         // Generous upper bound: the engine checks the clock every iteration.
         assert!(start.elapsed().as_millis() < 2_000);
     }
 
     #[test]
-    fn parallel_root_search_finds_the_same_optimum() {
+    fn windowed_search_finds_the_same_optimum() {
         let config = MctsConfig {
             budget: Budget::Iterations(400),
             seed: 11,
-            parallel: ParallelMode::Root,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(BitFlip { n: 6 }, config).run_parallel(4);
+        let outcome = run_windows(BitFlip { n: 6 }, config, 4);
         assert_eq!(outcome.best_reward, 6.0);
-    }
-
-    #[test]
-    fn parallel_tree_search_finds_the_same_optimum() {
-        let config = MctsConfig {
-            budget: Budget::Iterations(400),
-            seed: 11,
-            parallel: ParallelMode::Tree,
-            ..MctsConfig::default()
-        };
-        let outcome = Mcts::new(BitFlip { n: 6 }, config).run_parallel(4);
-        assert_eq!(outcome.best_reward, 6.0);
-        assert!(outcome.stats.iterations <= 400);
+        assert_eq!(outcome.stats.iterations, 400);
         assert!(outcome.stats.nodes >= 2);
     }
 
     #[test]
-    fn tree_mode_single_worker_is_bit_identical_to_sequential() {
-        // The pin behind the tree-parallel driver: with one worker, the ticketing, virtual
-        // loss and mutex-guarded best record must degenerate to exactly the sequential
-        // reference — same rng stream, same selections, same results.
+    fn windows_of_one_leaf_are_the_sequential_search() {
         for seed in [3u64, 42, 99] {
             let config = MctsConfig {
                 budget: Budget::Iterations(350),
                 seed,
-                parallel: ParallelMode::Tree,
                 ..MctsConfig::default()
             };
-            let sequential = Mcts::new(BitFlip { n: 7 }, config.clone()).run();
-            let tree = Mcts::new(BitFlip { n: 7 }, config).run_parallel(1);
-            assert_eq!(sequential.best_reward.to_bits(), tree.best_reward.to_bits());
-            assert_eq!(sequential.best_state, tree.best_state);
-            assert_eq!(sequential.stats.iterations, tree.stats.iterations);
-            assert_eq!(sequential.stats.nodes, tree.stats.nodes);
-            assert_eq!(sequential.stats.evaluations, tree.stats.evaluations);
+            let sequential = run(BitFlip { n: 7 }, config.clone());
+            let windows = run_windows(BitFlip { n: 7 }, config, 1);
+            assert_eq!(
+                sequential.best_reward.to_bits(),
+                windows.best_reward.to_bits()
+            );
+            assert_eq!(sequential.best_state, windows.best_state);
+            assert_eq!(sequential.stats.iterations, windows.stats.iterations);
+            assert_eq!(sequential.stats.nodes, windows.stats.nodes);
+            assert_eq!(sequential.stats.evaluations, windows.stats.evaluations);
             let key = |t: &[RewardTracePoint]| -> Vec<(usize, u64)> {
                 t.iter()
                     .map(|p| (p.iteration, p.best_reward.to_bits()))
                     .collect()
             };
-            assert_eq!(key(&sequential.stats.trace), key(&tree.stats.trace));
+            assert_eq!(key(&sequential.stats.trace), key(&windows.stats.trace));
         }
     }
 
@@ -278,54 +297,15 @@ mod tests {
             max_children_per_node: 1,
             ..MctsConfig::default()
         };
-        let outcome = Mcts::new(BitFlip { n: 6 }, config.clone()).run();
+        let outcome = run(BitFlip { n: 6 }, config.clone());
         assert!(
             outcome.stats.nodes > 2,
             "selection stalled at a capped node: only {} nodes materialised",
             outcome.stats.nodes
         );
-        // The tree-parallel driver shares the fix.
-        let outcome = Mcts::new(BitFlip { n: 6 }, config).run_parallel(2);
+        // Windows select through the same code path.
+        let outcome = run_windows(BitFlip { n: 6 }, config, 2);
         assert!(outcome.stats.nodes > 2);
-    }
-
-    #[test]
-    fn root_parallel_trace_is_a_fleet_wide_monotone_envelope() {
-        let config = MctsConfig {
-            budget: Budget::Iterations(200),
-            seed: 11,
-            parallel: ParallelMode::Root,
-            ..MctsConfig::default()
-        };
-        let outcome = Mcts::new(BitFlip { n: 8 }, config).run_parallel(4);
-        let trace = &outcome.stats.trace;
-        assert!(trace.len() >= 2);
-        for pair in trace.windows(2) {
-            assert!(pair[1].best_reward >= pair[0].best_reward);
-            assert!(pair[1].elapsed_millis >= pair[0].elapsed_millis);
-        }
-        let last = trace.last().unwrap();
-        assert_eq!(last.best_reward, outcome.best_reward);
-        assert_eq!(last.iteration, outcome.stats.iterations);
-    }
-
-    #[test]
-    fn trace_envelope_merges_improvements_from_all_workers() {
-        let point = |iteration, elapsed_millis, best_reward| RewardTracePoint {
-            iteration,
-            elapsed_millis,
-            best_reward,
-        };
-        // Worker A improves early, worker B later but further; worker C never leads.
-        let merged = merge_trace_envelope(vec![
-            vec![point(0, 0, 1.0), point(3, 5, 4.0), point(9, 30, 5.0)],
-            vec![point(0, 0, 0.5), point(4, 10, 6.0)],
-            vec![point(0, 0, 0.25), point(2, 4, 0.75)],
-        ]);
-        let rewards: Vec<f64> = merged.iter().map(|p| p.best_reward).collect();
-        assert_eq!(rewards, vec![0.25, 0.5, 1.0, 4.0, 6.0]);
-        // The 5.0 point is dominated by 6.0 found earlier; the envelope drops it.
-        assert!(merged.iter().all(|p| p.elapsed_millis <= 10));
     }
 
     #[test]
@@ -348,7 +328,7 @@ mod tests {
                 *state as f64
             }
         }
-        let outcome = Mcts::new(Stuck, MctsConfig::default().with_iterations(10)).run();
+        let outcome = run(Stuck, MctsConfig::default().with_iterations(10));
         assert_eq!(outcome.best_state, 42);
         assert_eq!(outcome.best_reward, 42.0);
     }

@@ -79,8 +79,8 @@ macro_rules! forward_search_problem {
     };
 }
 
-/// Borrowed problems are problems: lets `Mcts` and `SearchHandle` take a problem by value
-/// while callers keep ownership.
+/// Borrowed problems are problems: lets `SearchHandle` take a problem by value while
+/// callers keep ownership.
 impl<P: SearchProblem + ?Sized> SearchProblem for &P {
     forward_search_problem!();
 }

@@ -1,36 +1,19 @@
-//! The shared search-tree arena used by both the sequential and the tree-parallel drivers.
+//! The search-tree arena a [`SearchHandle`](crate::SearchHandle) owns.
 //!
-//! [`SearchTree`] is a chunked, append-only arena of [`TreeNode`]s. Node ids are plain
-//! `usize` indices; nodes are never moved or freed, so a reader holding a [`TreeView`] can
-//! dereference any published id without taking a lock on the hot path. Concurrency is split
-//! by access pattern:
-//!
-//! * **Statistics** (`visits`, `total_reward`, `virtual_loss`) are per-node atomics.
-//!   Visits and virtual losses are exact integer counters; the reward total is an `f64`
-//!   accumulated with a compare-and-swap loop rather than a scaled fixed-point integer so
-//!   that a single-worker tree run performs *bit-identical* float additions to the
-//!   sequential reference (fixed-point rounding could flip a UCT argmax and break the
-//!   1-worker ≡ sequential pin).
-//! * **Structure** (the children list and the not-yet-expanded action bookkeeping) lives
-//!   behind one short [`Mutex`] per node — the "per-node short critical section" of the
-//!   expansion step. Selection holds it just long enough to copy the child ids.
-//! * **Allocation** appends to the newest chunk under a dedicated lock; chunk storage cells
-//!   are `OnceLock`s, so already-published nodes are reachable from other threads without
-//!   writer interference.
+//! [`SearchTree`] is a plain `Vec` of [`TreeNode`]s. Node ids are indices into it; nodes
+//! are never moved to another id or freed while the handle lives, and every parent id is
+//! smaller than its children's. The handle is the only writer, so the statistics are plain
+//! numbers: the reward total is an `f64` summed in backpropagation order, which keeps every
+//! seeded run (and every snapshot of one) bit-identical across drivers and restarts.
 //!
 //! Untried actions are *not* materialised as a per-node `Vec<Action>`. A node only stores
 //! how many actions its state has; expansion draws the `j`-th remaining action index with a
-//! lazy Fisher–Yates swap map ([`NodeGate::take_untried`]) and resolves it to a concrete
+//! lazy Fisher–Yates swap map ([`TreeNode::take_untried`]) and resolves it to a concrete
 //! action through `SearchProblem::nth_action`. That keeps node creation allocation-free and
 //! consumes exactly one rng draw per expansion — the same consumption as the eager
 //! shuffle-then-`swap_remove` pattern it replaced.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-
-/// Nodes per arena chunk. Chunks are allocated eagerly as whole slabs; 256 nodes keeps the
-/// slab size moderate while making chunk-list refreshes rare.
-const CHUNK_SIZE: usize = 256;
+use std::ops::{Index, IndexMut};
 
 /// A plain-data record of one tree node: everything needed to rebuild it exactly in a fresh
 /// arena — the structural core (`untried_remaining` + the lazy Fisher–Yates `swaps` map +
@@ -55,74 +38,54 @@ pub struct NodeRecord<S> {
     pub children: Vec<usize>,
 }
 
-/// One slab of node storage. Cells are `OnceLock`s: written exactly once (under the arena's
-/// allocation lock), read lock-free ever after.
-struct Chunk<S> {
-    slots: Box<[OnceLock<TreeNode<S>>]>,
-}
-
-impl<S> Chunk<S> {
-    fn new() -> Self {
-        Self {
-            slots: (0..CHUNK_SIZE).map(|_| OnceLock::new()).collect(),
-        }
-    }
-}
-
-/// The mutable structural core of a node, guarded by the node's expansion mutex.
+/// One node of the search tree: its state and parent link, its statistics, and the
+/// structural core (children plus the untried-action pool).
 ///
-/// `children` is the ordered list of materialised child ids. The untried-action state is a
-/// count plus a lazy Fisher–Yates swap map: drawing the `j`-th of `untried_remaining`
-/// actions resolves `j` through the map, then swaps the last remaining slot into `j`.
-#[derive(Debug)]
-pub struct NodeGate {
+/// The untried-action state is a count plus a lazy Fisher–Yates swap map: drawing the
+/// `j`-th of `untried_remaining` actions resolves `j` through the map, then swaps the last
+/// remaining slot into `j`.
+pub(crate) struct TreeNode<S> {
+    pub(crate) state: S,
+    pub(crate) parent: Option<usize>,
+    /// Number of completed backpropagations through this node.
+    pub(crate) visits: u64,
+    /// Sum of all backpropagated rewards, added in backpropagation order.
+    pub(crate) total_reward: f64,
+    /// Pending leaves whose selection path runs through this node. Applied on the way
+    /// down, released when the leaf is completed or aborted, so the counter is transient
+    /// and returns to zero at quiescence.
+    pub(crate) virtual_loss: u32,
+    /// Materialised children, in expansion order.
+    pub(crate) children: Vec<usize>,
     untried_remaining: usize,
     /// Sparse overrides of the identity permutation, latest value per slot.
     swaps: Vec<(usize, usize)>,
-    children: Vec<usize>,
 }
 
-impl NodeGate {
-    fn new(untried: usize) -> Self {
+impl<S> TreeNode<S> {
+    fn new(state: S, parent: Option<usize>, untried: usize, virtual_loss: u32) -> Self {
         Self {
+            state,
+            parent,
+            visits: 0,
+            total_reward: 0.0,
+            virtual_loss,
+            children: Vec::new(),
             untried_remaining: untried,
             swaps: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Rebuild a gate from a [`NodeRecord`]'s structural fields (snapshot restore).
-    fn restored(
-        untried_remaining: usize,
-        swaps: Vec<(usize, usize)>,
-        children: Vec<usize>,
-    ) -> Self {
-        Self {
-            untried_remaining,
-            swaps,
-            children,
         }
     }
 
     /// Number of actions not yet drawn for expansion.
-    pub fn untried_remaining(&self) -> usize {
+    pub(crate) fn untried_remaining(&self) -> usize {
         self.untried_remaining
     }
 
-    /// The sparse Fisher–Yates permutation overrides of the untried pool (snapshot export;
-    /// restoring them is what keeps post-restore expansion draws bit-identical).
-    pub fn swaps(&self) -> &[(usize, usize)] {
-        &self.swaps
-    }
-
-    /// The materialised children, in expansion order.
-    pub fn children(&self) -> &[usize] {
-        &self.children
-    }
-
-    /// Append a newly materialised child id.
-    pub fn push_child(&mut self, id: usize) {
-        self.children.push(id);
+    /// Whether expansion may grow this node: untried actions remain and the child cap is
+    /// not reached. Capped nodes count as fully expanded, so selection descends through
+    /// them instead of stalling.
+    pub(crate) fn expandable(&self, cap: usize) -> bool {
+        self.untried_remaining > 0 && self.children.len() < cap
     }
 
     fn mapped(&self, slot: usize) -> usize {
@@ -146,7 +109,7 @@ impl NodeGate {
     /// shuffling the full action list up front and `swap_remove`-ing position `j`.
     ///
     /// Returns the action's index in the problem's canonical `actions`/`nth_action` order.
-    pub fn take_untried(&mut self, j: usize) -> usize {
+    pub(crate) fn take_untried(&mut self, j: usize) -> usize {
         debug_assert!(j < self.untried_remaining, "draw outside the untried pool");
         let last = self.untried_remaining - 1;
         let picked = self.mapped(j);
@@ -157,220 +120,83 @@ impl NodeGate {
     }
 }
 
-/// One node of the shared search tree: an immutable state + parent link, atomic statistics,
-/// and the mutex-guarded structural core ([`NodeGate`]).
-pub struct TreeNode<S> {
-    state: S,
-    parent: Option<usize>,
-    visits: AtomicU64,
-    /// `f64` bits of the accumulated reward, updated with a CAS loop (see module docs for
-    /// why this is not a scaled integer).
-    total_reward_bits: AtomicU64,
-    /// Pending concurrent descents through this node. Applied on the way down, reverted on
-    /// backpropagation, so the counter is transient and returns to zero at quiescence.
-    virtual_loss: AtomicU32,
-    gate: Mutex<NodeGate>,
-}
-
-impl<S> TreeNode<S> {
-    fn new(state: S, parent: Option<usize>, untried: usize, initial_virtual_loss: u32) -> Self {
-        Self {
-            state,
-            parent,
-            visits: AtomicU64::new(0),
-            total_reward_bits: AtomicU64::new(0f64.to_bits()),
-            virtual_loss: AtomicU32::new(initial_virtual_loss),
-            gate: Mutex::new(NodeGate::new(untried)),
-        }
-    }
-
-    /// The search state this node holds.
-    pub fn state(&self) -> &S {
-        &self.state
-    }
-
-    /// The parent's node id (`None` for the root).
-    pub fn parent(&self) -> Option<usize> {
-        self.parent
-    }
-
-    /// Number of completed backpropagations through this node.
-    pub fn visits(&self) -> u64 {
-        self.visits.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all backpropagated rewards.
-    pub fn total_reward(&self) -> f64 {
-        f64::from_bits(self.total_reward_bits.load(Ordering::Relaxed))
-    }
-
-    /// Number of virtual losses currently applied (in-flight concurrent descents).
-    pub fn virtual_loss(&self) -> u32 {
-        self.virtual_loss.load(Ordering::Relaxed)
-    }
-
-    /// Lock the node's structural core (children + untried pool). Poisoning is recovered
-    /// rather than propagated: gate mutations are single-field writes that cannot be left
-    /// half-applied by an unwinding panic, and the serving layer quarantines any session
-    /// whose worker panicked, so a poisoned gate must not take down unrelated searches.
-    pub fn gate(&self) -> MutexGuard<'_, NodeGate> {
-        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Backpropagate one reward through this node: one visit plus the reward added to the
-    /// running total (CAS loop; exact program-order addition when uncontended).
-    pub fn record_visit(&self, reward: f64) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        let mut current = self.total_reward_bits.load(Ordering::Relaxed);
-        loop {
-            let updated = (f64::from_bits(current) + reward).to_bits();
-            match self.total_reward_bits.compare_exchange_weak(
-                current,
-                updated,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Mark one in-flight descent through this node.
-    pub fn apply_virtual_loss(&self) {
-        self.virtual_loss.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Revert one previously applied virtual loss (called during backpropagation).
-    pub fn revert_virtual_loss(&self) {
-        let previous = self.virtual_loss.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(previous > 0, "virtual loss reverted below zero");
-    }
-}
-
-/// The chunked, append-only arena of search-tree nodes shared by all workers.
-pub struct SearchTree<S> {
-    chunks: RwLock<Vec<Arc<Chunk<S>>>>,
-    /// Allocation lock: next id to hand out. Pushes are serialised; reads never touch it.
-    alloc: Mutex<usize>,
-    /// Published length (ids `< len` are fully initialised).
-    len: AtomicUsize,
+/// The search tree: a `Vec` of nodes with the root at id `0`.
+pub(crate) struct SearchTree<S> {
+    nodes: Vec<TreeNode<S>>,
 }
 
 impl<S> SearchTree<S> {
     /// Create a tree holding just the root node (id `0`) for a state with `untried` actions.
-    pub fn with_root(state: S, untried: usize) -> Self {
-        let tree = Self {
-            chunks: RwLock::new(Vec::new()),
-            alloc: Mutex::new(0),
-            len: AtomicUsize::new(0),
-        };
-        tree.push_with_virtual_loss(state, None, untried, 0);
-        tree
-    }
-
-    /// Number of published nodes.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the tree is empty (never true: construction publishes the root).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append a node and return its id. The id is *not* reachable from any parent's child
-    /// list yet; callers link it under the parent's gate, which is also what publishes it to
-    /// other workers.
-    pub fn push(&self, state: S, parent: Option<usize>, untried: usize) -> usize {
-        self.push_with_virtual_loss(state, parent, untried, 0)
-    }
-
-    /// [`SearchTree::push`], with `virtual_loss` pre-applied so concurrent selectors are
-    /// steered away from the brand-new leaf until its first backpropagation reverts it.
-    pub fn push_with_virtual_loss(
-        &self,
-        state: S,
-        parent: Option<usize>,
-        untried: usize,
-        virtual_loss: u32,
-    ) -> usize {
-        let mut next = self.alloc.lock().unwrap_or_else(PoisonError::into_inner);
-        let id = *next;
-        let (chunk_index, slot) = (id / CHUNK_SIZE, id % CHUNK_SIZE);
-        {
-            let chunks = self.chunks.read().unwrap_or_else(PoisonError::into_inner);
-            if chunk_index < chunks.len() {
-                let cell = &chunks[chunk_index].slots[slot];
-                if cell
-                    .set(TreeNode::new(state, parent, untried, virtual_loss))
-                    .is_err()
-                {
-                    unreachable!("arena slot {id} written twice");
-                }
-                *next = id + 1;
-                self.len.store(id + 1, Ordering::Release);
-                return id;
-            }
+    pub(crate) fn with_root(state: S, untried: usize) -> Self {
+        Self {
+            nodes: vec![TreeNode::new(state, None, untried, 0)],
         }
-        let mut chunks = self.chunks.write().unwrap_or_else(PoisonError::into_inner);
-        chunks.push(Arc::new(Chunk::new()));
-        debug_assert_eq!(chunks.len() - 1, chunk_index);
-        if chunks[chunk_index].slots[slot]
-            .set(TreeNode::new(state, parent, untried, virtual_loss))
-            .is_err()
-        {
-            unreachable!("arena slot {id} written twice");
-        }
-        *next = id + 1;
-        self.len.store(id + 1, Ordering::Release);
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Materialise `state` as the newest child of `parent` and return its id. The child is
+    /// born holding one virtual loss, released when the leaf that created it settles.
+    pub(crate) fn add_child(&mut self, parent: usize, state: S, untried: usize) -> usize {
+        let id = self.nodes.len();
+        self.nodes
+            .push(TreeNode::new(state, Some(parent), untried, 1));
+        self.nodes[parent].children.push(id);
         id
     }
 
-    /// A read handle caching the chunk list. Each worker keeps its own view so steady-state
-    /// node dereferences touch no shared state at all.
-    pub fn view(&self) -> TreeView<'_, S> {
-        let chunks = self
-            .chunks
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        TreeView { tree: self, chunks }
+    /// Backpropagate one reward from `from` to the root: one visit plus the reward added
+    /// to each node's running total.
+    pub(crate) fn backpropagate(&mut self, from: usize, reward: f64) {
+        let mut cursor = Some(from);
+        while let Some(id) = cursor {
+            let node = &mut self.nodes[id];
+            node.visits += 1;
+            node.total_reward += reward;
+            cursor = node.parent;
+        }
     }
 
-    /// Total visits recorded at the root — equals the number of completed backpropagations.
-    pub fn root_visits(&self) -> u64 {
-        self.view().node(0).visits()
+    /// Release one virtual loss on each node of `path`.
+    pub(crate) fn release_virtual_loss(&mut self, path: &[usize]) {
+        for &id in path {
+            let node = &mut self.nodes[id];
+            debug_assert!(node.virtual_loss > 0, "virtual loss released below zero");
+            node.virtual_loss -= 1;
+        }
     }
 
-    /// Export every published node as a plain [`NodeRecord`], in id order. Call only at
-    /// quiescence (no leaf pending): virtual losses are transient and not exported.
-    pub fn export_records(&self) -> Vec<NodeRecord<S>>
+    /// Total virtual loss held across the tree (zero at quiescence).
+    pub(crate) fn outstanding_virtual_loss(&self) -> u64 {
+        self.nodes.iter().map(|n| u64::from(n.virtual_loss)).sum()
+    }
+
+    /// Export every node as a plain [`NodeRecord`], in id order. Call only at quiescence
+    /// (no leaf pending): virtual losses are transient and not exported.
+    pub(crate) fn export_records(&self) -> Vec<NodeRecord<S>>
     where
         S: Clone,
     {
-        let mut view = self.view();
-        view.refresh();
-        (0..self.len())
-            .map(|id| {
-                let node = view.node(id);
-                let gate = node.gate();
-                NodeRecord {
-                    state: node.state.clone(),
-                    parent: node.parent,
-                    visits: node.visits(),
-                    total_reward_bits: node.total_reward_bits.load(Ordering::Relaxed),
-                    untried_remaining: gate.untried_remaining,
-                    swaps: gate.swaps.clone(),
-                    children: gate.children.clone(),
-                }
+        self.nodes
+            .iter()
+            .map(|node| NodeRecord {
+                state: node.state.clone(),
+                parent: node.parent,
+                visits: node.visits,
+                total_reward_bits: node.total_reward.to_bits(),
+                untried_remaining: node.untried_remaining,
+                swaps: node.swaps.clone(),
+                children: node.children.clone(),
             })
             .collect()
     }
 
-    /// Rebuild an arena from exported records, validating structural references so a
+    /// Rebuild a tree from exported records, validating structural references so a
     /// corrupted snapshot fails loudly instead of panicking deep in selection later.
-    pub fn from_records(records: Vec<NodeRecord<S>>) -> Result<Self, String> {
+    pub(crate) fn from_records(records: Vec<NodeRecord<S>>) -> Result<Self, String> {
         if records.is_empty() {
             return Err("tree snapshot has no nodes (missing root)".into());
         }
@@ -379,8 +205,8 @@ impl<S> SearchTree<S> {
             match record.parent {
                 None if id != 0 => return Err(format!("node {id} has no parent")),
                 Some(p) if id == 0 => return Err(format!("root has parent {p}")),
-                // The arena is append-only and children are linked under an existing
-                // parent, so a parent id is always smaller than its child's.
+                // Nodes are appended and linked under an existing parent, so a parent id
+                // is always smaller than its child's.
                 Some(p) if p >= id => return Err(format!("node {id} has parent {p} >= {id}")),
                 _ => {}
             }
@@ -388,70 +214,34 @@ impl<S> SearchTree<S> {
                 return Err(format!("node {id} links child {child} outside 1..{len}"));
             }
         }
-        let tree = Self {
-            chunks: RwLock::new(Vec::new()),
-            alloc: Mutex::new(0),
-            len: AtomicUsize::new(0),
-        };
-        for (id, record) in records.into_iter().enumerate() {
-            let pushed = tree.push_with_virtual_loss(record.state, record.parent, 0, 0);
-            debug_assert_eq!(pushed, id);
-            let view = tree.view();
-            let node = view.node(id);
-            node.visits.store(record.visits, Ordering::Relaxed);
-            node.total_reward_bits
-                .store(record.total_reward_bits, Ordering::Relaxed);
-            *node.gate() =
-                NodeGate::restored(record.untried_remaining, record.swaps, record.children);
-        }
-        Ok(tree)
+        let nodes = records
+            .into_iter()
+            .map(|record| TreeNode {
+                state: record.state,
+                parent: record.parent,
+                visits: record.visits,
+                total_reward: f64::from_bits(record.total_reward_bits),
+                virtual_loss: 0,
+                children: record.children,
+                untried_remaining: record.untried_remaining,
+                swaps: record.swaps,
+            })
+            .collect();
+        Ok(Self { nodes })
     }
 }
 
-/// A per-worker read handle over a [`SearchTree`]: a cached clone of the chunk list.
-///
-/// [`TreeView::node`] is lock-free; [`TreeView::ensure`] refreshes the cache when an id
-/// published by another worker is not covered yet (ids learned from a child list are always
-/// published — the parent's gate mutex ordered the publication before the read).
-pub struct TreeView<'t, S> {
-    tree: &'t SearchTree<S>,
-    chunks: Vec<Arc<Chunk<S>>>,
+impl<S> Index<usize> for SearchTree<S> {
+    type Output = TreeNode<S>;
+
+    fn index(&self, id: usize) -> &TreeNode<S> {
+        &self.nodes[id]
+    }
 }
 
-impl<S> TreeView<'_, S> {
-    /// Whether `id` is addressable through this view without a refresh.
-    pub fn contains(&self, id: usize) -> bool {
-        id / CHUNK_SIZE < self.chunks.len()
-            && self.chunks[id / CHUNK_SIZE].slots[id % CHUNK_SIZE]
-                .get()
-                .is_some()
-    }
-
-    /// Re-read the shared chunk list so every currently published id resolves.
-    pub fn refresh(&mut self) {
-        self.chunks = self
-            .tree
-            .chunks
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-    }
-
-    /// Make `id` addressable, refreshing the chunk cache if needed.
-    pub fn ensure(&mut self, id: usize) {
-        if !self.contains(id) {
-            self.refresh();
-        }
-    }
-
-    /// Dereference a published node id.
-    ///
-    /// Panics if the id has not been published to this view; call [`TreeView::ensure`]
-    /// first for ids learned from another worker.
-    pub fn node(&self, id: usize) -> &TreeNode<S> {
-        self.chunks[id / CHUNK_SIZE].slots[id % CHUNK_SIZE]
-            .get()
-            .expect("search-tree id not published to this view (missing ensure?)")
+impl<S> IndexMut<usize> for SearchTree<S> {
+    fn index_mut(&mut self, id: usize) -> &mut TreeNode<S> {
+        &mut self.nodes[id]
     }
 }
 
@@ -460,33 +250,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn root_construction_and_push_link() {
-        let tree = SearchTree::with_root("root", 3);
+    fn root_construction_and_child_link() {
+        let mut tree = SearchTree::with_root("root", 3);
         assert_eq!(tree.len(), 1);
-        assert!(!tree.is_empty());
-        let child = tree.push("child", Some(0), 2);
-        let mut view = tree.view();
-        view.ensure(child);
-        view.node(0).gate().push_child(child);
+        let child = tree.add_child(0, "child", 2);
         assert_eq!(tree.len(), 2);
-        assert_eq!(view.node(child).parent(), Some(0));
-        assert_eq!(view.node(child).state(), &"child");
-        assert_eq!(view.node(0).gate().children(), &[child]);
+        assert_eq!(tree[child].parent, Some(0));
+        assert_eq!(tree[child].state, "child");
+        assert_eq!(tree[child].virtual_loss, 1);
+        assert_eq!(tree[0].children, vec![child]);
+        tree.release_virtual_loss(&[child]);
+        assert_eq!(tree.outstanding_virtual_loss(), 0);
     }
 
     #[test]
     fn take_untried_is_a_permutation() {
         // Drawing all slots in any order yields each action index exactly once.
         for draw_first in [true, false] {
-            let mut gate = NodeGate::new(5);
+            let mut node = TreeNode::new((), None, 5, 0);
             let mut seen = Vec::new();
-            while gate.untried_remaining() > 0 {
+            while node.untried_remaining() > 0 {
                 let j = if draw_first {
                     0
                 } else {
-                    gate.untried_remaining() - 1
+                    node.untried_remaining() - 1
                 };
-                seen.push(gate.take_untried(j));
+                seen.push(node.take_untried(j));
             }
             seen.sort_unstable();
             assert_eq!(seen, vec![0, 1, 2, 3, 4]);
@@ -499,67 +288,50 @@ mod tests {
         // list would pick, for every draw sequence.
         let draws = [3usize, 0, 2, 1, 1, 0];
         let mut eager: Vec<usize> = (0..7).collect();
-        let mut gate = NodeGate::new(7);
+        let mut node = TreeNode::new((), None, 7, 0);
         for &j in &draws {
-            assert_eq!(gate.take_untried(j), eager.swap_remove(j));
-            assert_eq!(gate.untried_remaining(), eager.len());
+            assert_eq!(node.take_untried(j), eager.swap_remove(j));
+            assert_eq!(node.untried_remaining(), eager.len());
         }
     }
 
     #[test]
     fn statistics_accumulate_exactly() {
-        let tree = SearchTree::with_root((), 0);
-        let view = tree.view();
-        let node = view.node(0);
+        let mut tree = SearchTree::with_root((), 0);
+        let child = tree.add_child(0, (), 0);
         for i in 0..100 {
-            node.record_visit(i as f64);
+            tree.backpropagate(child, i as f64);
         }
-        assert_eq!(node.visits(), 100);
-        assert_eq!(node.total_reward(), (0..100).sum::<usize>() as f64);
-        node.apply_virtual_loss();
-        assert_eq!(node.virtual_loss(), 1);
-        node.revert_virtual_loss();
-        assert_eq!(node.virtual_loss(), 0);
+        let expected = (0..100).sum::<usize>() as f64;
+        for id in [0, child] {
+            assert_eq!(tree[id].visits, 100);
+            assert_eq!(tree[id].total_reward, expected);
+        }
     }
 
     #[test]
     fn export_restore_round_trips_structure_and_statistics() {
-        let tree = SearchTree::with_root("root".to_string(), 5);
-        {
-            let view = tree.view();
-            let mut gate = view.node(0).gate();
-            let _ = gate.take_untried(2);
-            let _ = gate.take_untried(0);
-        }
-        let child = tree.push("child".to_string(), Some(0), 3);
-        let mut view = tree.view();
-        view.ensure(child);
-        view.node(0).gate().push_child(child);
-        view.node(0).record_visit(1.5);
-        view.node(child).record_visit(0.25);
-        view.node(child).record_visit(-3.5);
+        let mut tree = SearchTree::with_root("root".to_string(), 5);
+        let _ = tree[0].take_untried(2);
+        let _ = tree[0].take_untried(0);
+        let child = tree.add_child(0, "child".to_string(), 3);
+        tree.release_virtual_loss(&[child]);
+        tree.backpropagate(0, 1.5);
+        tree.backpropagate(child, 0.25);
+        tree.backpropagate(child, -3.5);
 
         let records = tree.export_records();
-        let restored = SearchTree::from_records(records.clone()).expect("valid records");
+        let mut restored = SearchTree::from_records(records.clone()).expect("valid records");
         assert_eq!(restored.export_records(), records);
-        // The restored gate continues the exact Fisher–Yates permutation.
-        let mut original_gate_draws = Vec::new();
-        let mut restored_gate_draws = Vec::new();
-        {
-            let view = tree.view();
-            let mut gate = view.node(0).gate();
-            while gate.untried_remaining() > 0 {
-                original_gate_draws.push(gate.take_untried(0));
+        // The restored pool continues the exact Fisher–Yates permutation.
+        let drain = |tree: &mut SearchTree<String>| {
+            let mut draws = Vec::new();
+            while tree[0].untried_remaining() > 0 {
+                draws.push(tree[0].take_untried(0));
             }
-        }
-        {
-            let view = restored.view();
-            let mut gate = view.node(0).gate();
-            while gate.untried_remaining() > 0 {
-                restored_gate_draws.push(gate.take_untried(0));
-            }
-        }
-        assert_eq!(original_gate_draws, restored_gate_draws);
+            draws
+        };
+        assert_eq!(drain(&mut tree), drain(&mut restored));
     }
 
     #[test]
@@ -585,25 +357,5 @@ mod tests {
             ..root(Vec::new())
         };
         assert!(SearchTree::from_records(vec![root(Vec::new()), cyclic]).is_err());
-    }
-
-    #[test]
-    fn arena_spans_many_chunks() {
-        let tree = SearchTree::with_root(0usize, 0);
-        let ids: Vec<usize> = (1..=3 * CHUNK_SIZE)
-            .map(|i| tree.push(i, Some(0), 0))
-            .collect();
-        assert_eq!(tree.len(), 3 * CHUNK_SIZE + 1);
-        let mut view = tree.view();
-        view.refresh();
-        for &id in &ids {
-            assert_eq!(*view.node(id).state(), id);
-        }
-        // A stale view refreshes on demand.
-        let mut stale = tree.view();
-        let late = tree.push(999_999, Some(0), 0);
-        assert!(!stale.contains(late) || stale.node(late).parent() == Some(0));
-        stale.ensure(late);
-        assert_eq!(*stale.node(late).state(), 999_999);
     }
 }

@@ -3,7 +3,7 @@
 //! truthfully, and behave as a no-op once its total budget is exhausted.
 
 use mctsui_mcts::{
-    Budget, HandleSnapshot, Mcts, MctsConfig, RewardTracePoint, SearchHandle, SearchOutcome,
+    Budget, HandleSnapshot, MctsConfig, RewardTracePoint, SearchHandle, SearchOutcome,
     SearchProblem, SliceBudget,
 };
 
@@ -47,6 +47,13 @@ impl SearchProblem for BitFlip {
     }
 }
 
+/// The one-shot search: one unbounded slice, then the outcome.
+fn run(problem: BitFlip, config: MctsConfig) -> SearchOutcome<Vec<bool>> {
+    let mut handle = SearchHandle::new(problem, config);
+    handle.run_for(SliceBudget::unbounded());
+    handle.into_outcome()
+}
+
 fn config(iterations: usize, seed: u64) -> MctsConfig {
     MctsConfig {
         budget: Budget::Iterations(iterations),
@@ -77,7 +84,7 @@ fn key(o: &SearchOutcome<Vec<bool>>) -> OutcomeKey {
 #[test]
 fn sliced_run_is_bit_identical_to_one_shot() {
     for seed in [1u64, 7, 0xC0FFEE] {
-        let one_shot = Mcts::new(BitFlip { n: 7 }, config(200, seed)).run();
+        let one_shot = run(BitFlip { n: 7 }, config(200, seed));
 
         // A deliberately ragged slicing: 1, 3, 7, 31, 64, then unbounded to the budget.
         let mut handle = SearchHandle::new(BitFlip { n: 7 }, config(200, seed));
@@ -100,7 +107,7 @@ fn sliced_run_is_bit_identical_to_one_shot() {
 
 #[test]
 fn every_slice_width_reproduces_the_one_shot_run() {
-    let one_shot = Mcts::new(BitFlip { n: 6 }, config(120, 42)).run();
+    let one_shot = run(BitFlip { n: 6 }, config(120, 42));
     for width in [1usize, 2, 9, 50, 119, 120, 121] {
         let mut handle = SearchHandle::new(BitFlip { n: 6 }, config(120, 42));
         while !handle.run_for(SliceBudget::iterations(width)).exhausted {}
@@ -192,7 +199,7 @@ fn split_driver_matches_run_for_bitwise() {
     // rewards by hand, complete — must consume exactly the rng stream of `run_for` (which
     // is the split driver at pipeline depth 1) and therefore of the one-shot driver.
     for seed in [3u64, 7, 0xC0FFEE] {
-        let one_shot = Mcts::new(BitFlip { n: 7 }, config(150, seed)).run();
+        let one_shot = run(BitFlip { n: 7 }, config(150, seed));
 
         let problem = BitFlip { n: 7 };
         let mut handle = SearchHandle::new(BitFlip { n: 7 }, config(150, seed));
@@ -314,7 +321,7 @@ fn snapshot_restore_continues_bit_identically() {
     // and restored against a fresh problem instance must finish the run bit-identically to
     // the uninterrupted one-shot driver.
     for (seed, boundary) in [(1u64, 1usize), (7, 37), (0xC0FFEE, 120)] {
-        let one_shot = Mcts::new(BitFlip { n: 7 }, config(200, seed)).run();
+        let one_shot = run(BitFlip { n: 7 }, config(200, seed));
 
         let mut handle = SearchHandle::new(BitFlip { n: 7 }, config(200, seed));
         let report = handle.run_for(SliceBudget::iterations(boundary));
@@ -343,7 +350,7 @@ fn snapshot_restore_continues_bit_identically() {
 fn fresh_handle_snapshot_captures_the_prologue() {
     // Snapshotting before any slice must capture the root evaluation, so the restored
     // handle runs the whole search identically from iteration zero.
-    let one_shot = Mcts::new(BitFlip { n: 6 }, config(120, 42)).run();
+    let one_shot = run(BitFlip { n: 6 }, config(120, 42));
     let snap = SearchHandle::new(BitFlip { n: 6 }, config(120, 42)).snapshot();
     assert_eq!(snap.iterations, 0);
     assert_eq!(snap.evaluations, 1);
@@ -385,6 +392,6 @@ fn arc_problems_are_searchable() {
         handle.run_for(SliceBudget::unbounded());
         handle.into_outcome()
     };
-    let via_ref = Mcts::new(BitFlip { n: 6 }, config(100, 13)).run();
+    let via_ref = run(BitFlip { n: 6 }, config(100, 13));
     assert_eq!(key(&via_arc), key(&via_ref));
 }

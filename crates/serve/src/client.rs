@@ -2,7 +2,7 @@
 //! the CLI's `client` subcommand, the smoke tests and the load generator.
 //!
 //! The client side of fault hardening lives here: sockets carry `TCP_NODELAY` and explicit
-//! read/write timeouts, response lines are length-capped ([`read_frame`]), server errors
+//! read/write timeouts, response lines are length-capped (`read_frame`), server errors
 //! surface their stable machine-readable code ([`ClientError::Server`]), and the scripted
 //! driver has a fault-tolerant mode ([`ScriptConfig::tolerate_faults`]) that survives
 //! dropped connections and quarantined sessions: it reconnects under seeded jittered
@@ -119,7 +119,7 @@ impl Backoff {
 
     /// The next delay: the current step with jitter applied; the step then doubles,
     /// capped at [`Backoff::CAP_MILLIS`].
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let step = self.step_millis;
         self.step_millis = (self.step_millis * 2).min(Self::CAP_MILLIS);
         let jitter = self.rng.gen_range(0.5..1.5);
@@ -147,7 +147,7 @@ impl Client {
     /// Connect with an explicit socket read/write timeout (milliseconds). The socket gets
     /// `TCP_NODELAY`: the protocol is one-line request/response turns, which Nagle's
     /// algorithm would serialise against delayed ACKs.
-    pub fn connect_with(addr: &str, io_timeout_millis: u64) -> Result<Self, ClientError> {
+    fn connect_with(addr: &str, io_timeout_millis: u64) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let timeout = Duration::from_millis(io_timeout_millis.max(1));

@@ -910,6 +910,7 @@ impl ServeEngine {
 
         let appended_at = guard.log.len();
         let triage = guard.log.append_source(query);
+        let mut replaced = None;
         if triage.is_empty() {
             let ast = match guard.log.entries().last() {
                 Some(LogEntry::Parsed(ast)) => ast.clone(),
@@ -922,7 +923,7 @@ impl ServeEngine {
                     Some(graft_append(state, &ast))
                 })
                 .expect("window quiescence implies handle quiescence");
-            guard.problem = problem;
+            replaced = Some(std::mem::replace(&mut guard.problem, problem));
             guard.interact = None;
             guard.described = None;
             // The on-disk snapshot (if any) no longer matches the log: force a rewrite.
@@ -936,7 +937,7 @@ impl ServeEngine {
             guard.snapshotted_iterations = None;
         }
         self.shared.appended_queries.fetch_add(1, Ordering::Relaxed);
-        self.finish_log_edit(session, guard)
+        self.finish_log_edit(session, guard, replaced)
     }
 
     /// Retract the session's log entry at `index` (0-based, quarantined slots included).
@@ -968,13 +969,14 @@ impl ServeEngine {
             return Err(ServeError::NoQueries);
         }
         guard.log.retract(at).map_err(ServeError::BadQuery)?;
+        let mut replaced = None;
         if healthy_retract {
             let problem = self.problem_for(&guard.log.healthy());
             guard
                 .handle
                 .rebase(Arc::clone(&problem), |state| Some(state.clone()))
                 .expect("window quiescence implies handle quiescence");
-            guard.problem = problem;
+            replaced = Some(std::mem::replace(&mut guard.problem, problem));
             guard.interact = None;
             guard.described = None;
             self.shared.rebased_handles.fetch_add(1, Ordering::Relaxed);
@@ -983,15 +985,20 @@ impl ServeEngine {
         self.shared
             .retracted_queries
             .fetch_add(1, Ordering::Relaxed);
-        self.finish_log_edit(session, guard)
+        self.finish_log_edit(session, guard, replaced)
     }
 
     /// Common tail of a log edit: refresh the session's diagnostics from the updated log,
     /// record the log shape, release the lock and build the anytime answer outside it.
+    ///
+    /// `replaced` is the problem the edit swapped out, if any. It may hold the last
+    /// reference, and tearing a problem down (its caches and expressibility memo) can take
+    /// hundreds of milliseconds, so it is dropped only after the session lock is released.
     fn finish_log_edit(
         &self,
         session: u64,
         mut guard: std::sync::MutexGuard<'_, Session>,
+        replaced: Option<Arc<InterfaceSearchProblem>>,
     ) -> Result<LogEditResult, ServeError> {
         guard.diagnostics = guard
             .log
@@ -1009,6 +1016,7 @@ impl ServeEngine {
         let quarantined_len = guard.log.quarantined_len() as u64;
         let reward_before = guard.handle.best_reward();
         drop(guard);
+        drop(replaced);
         let result = self.anytime_result(session, reward_before)?;
         Ok(LogEditResult {
             result,
@@ -1375,7 +1383,7 @@ impl ServeEngine {
     }
 
     /// Whether graceful drain has begun (admission closed, in-flight work finishing).
-    pub fn is_draining(&self) -> bool {
+    fn is_draining(&self) -> bool {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
@@ -1415,7 +1423,7 @@ impl ServeEngine {
     }
 
     /// Persist every live, quiescent, dirty session; returns how many files were written.
-    pub fn persist_sessions(&self) -> usize {
+    fn persist_sessions(&self) -> usize {
         self.shared
             .sessions
             .ids()

@@ -129,7 +129,7 @@ impl FaultPlan {
 
     /// Claim the next turn number and report whether this turn must (panic, expire).
     /// Called by the engine once per worker turn, before any iteration begins.
-    pub fn on_turn(&self) -> TurnFault {
+    pub(crate) fn on_turn(&self) -> TurnFault {
         let turn = self.turn_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let fault = TurnFault {
             panic: self.panic_turns.contains(&turn),
@@ -146,7 +146,7 @@ impl FaultPlan {
 
     /// Claim the next evaluation batch number and return the fault to apply, if any. The
     /// caller sleeps on [`EvalFault::DelayMillis`] and panics on [`EvalFault::Fail`].
-    pub fn on_batch(&self) -> Option<EvalFault> {
+    pub(crate) fn on_batch(&self) -> Option<EvalFault> {
         let batch = self.batch_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let fault = self.eval_faults.get(&batch).copied();
         match fault {
@@ -160,7 +160,7 @@ impl FaultPlan {
     }
 
     /// Claim the next connection number; `true` means the server must sever it now.
-    pub fn on_connection(&self) -> bool {
+    pub(crate) fn on_connection(&self) -> bool {
         let conn = self.connection_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let drop = self.drop_connections.contains(&conn);
         if drop {
@@ -183,7 +183,7 @@ impl FaultPlan {
     }
 
     /// Total faults fired so far.
-    pub fn fired_count(&self) -> usize {
+    pub(crate) fn fired_count(&self) -> usize {
         self.fired
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -198,7 +198,7 @@ impl FaultPlan {
     }
 }
 
-/// What [`FaultPlan::on_turn`] tells the worker to do with the turn it just claimed.
+/// What `FaultPlan::on_turn` tells the worker to do with the turn it just claimed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TurnFault {
     /// Panic mid-window (after beginning iterations, before completing any).

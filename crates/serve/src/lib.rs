@@ -49,8 +49,8 @@ pub use client::{
 pub use engine::{LogEditResult, ServeConfig, ServeEngine, ServeError, SynthesisResult};
 pub use fault::{EvalFault, FaultPlan, TurnFault};
 pub use proto::{
-    read_frame, BestReport, EngineStatsReport, Frame, QueryDiagnostic, Request, Response,
-    SessionLogStat, WidgetAction, MAX_REQUEST_FRAME_BYTES, MAX_RESPONSE_FRAME_BYTES,
+    BestReport, EngineStatsReport, Frame, QueryDiagnostic, Request, Response, SessionLogStat,
+    WidgetAction, MAX_REQUEST_FRAME_BYTES, MAX_RESPONSE_FRAME_BYTES,
 };
 pub use server::{dispatch, serve, serve_on};
 pub use snapshot::{SessionSnapshot, SnapshotStore, SNAPSHOT_FORMAT_VERSION};

@@ -33,7 +33,7 @@
 //! Failures are typed: an `Error` response carries a stable machine-readable `code`
 //! (`"busy"`, `"unknown_session"`, `"wedged"`, `"frame_too_large"`, …) for clients to
 //! branch on, plus the human-readable `message`. Lines are length-capped on both sides
-//! ([`read_frame`]): a peer sending an overlong line gets `"frame_too_large"` instead of
+//! (`read_frame`): a peer sending an overlong line gets `"frame_too_large"` instead of
 //! growing the reader's buffer without bound.
 
 use std::io::{self, BufRead};
@@ -394,7 +394,7 @@ pub const MAX_REQUEST_FRAME_BYTES: usize = 1 << 20;
 /// whole interface descriptions, requests only query logs.
 pub const MAX_RESPONSE_FRAME_BYTES: usize = 8 << 20;
 
-/// One NDJSON frame read by [`read_frame`].
+/// One NDJSON frame read by `read_frame`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// A complete line, without the trailing newline (a trailing `\r` is also stripped).
@@ -411,7 +411,7 @@ pub enum Frame {
 /// underlying `fill_buf`/`consume` pair directly so an oversized line is *discarded*
 /// chunk-by-chunk, never accumulated. A final unterminated line before EOF is delivered
 /// as a normal [`Frame::Line`].
-pub fn read_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Frame> {
+pub(crate) fn read_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Frame> {
     let mut line: Vec<u8> = Vec::new();
     let mut overflowed = false;
     loop {

@@ -5,7 +5,7 @@
 //! connections are concurrent — the engine's scheduler interleaves their search work).
 //! Accepted sockets get `TCP_NODELAY` (one-line request/response turns must not wait on
 //! Nagle) and explicit read/write timeouts, request lines are length-capped
-//! ([`read_frame`]), and each connection thread fences its handler with `catch_unwind` so
+//! (`read_frame`), and each connection thread fences its handler with `catch_unwind` so
 //! a handler panic drops one connection, never the server. A `Shutdown` request drains
 //! the engine gracefully — admission closes, in-flight windows finish, every session
 //! snapshots — then flips the shutdown flag, which the accept loop observes; a loopback

@@ -24,8 +24,13 @@ use mctsui_mcts::HandleSnapshot;
 /// Version tag of the snapshot file format; bumped on incompatible changes so a restarted
 /// server rejects (rather than misreads) snapshots from a different build lineage.
 /// Version 2 added the full live log (`log`), so appended and quarantined entries survive
-/// the restart round trip.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// the restart round trip. Version 3 dropped the search configuration's parallel-mode and
+/// virtual-loss keys: a version-2 file still loads (the dropped keys are ignored), and a
+/// build that reads only version 2 reports a version-3 file as a version mismatch.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+
+/// The oldest snapshot format version this build still reads.
+const OLDEST_READABLE_FORMAT_VERSION: u32 = 2;
 
 /// Everything needed to reattach one session in a fresh process.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,11 +105,14 @@ impl SnapshotStore {
         };
         let snapshot: SessionSnapshot = serde_json::from_str(&text)
             .map_err(|e| format!("corrupt snapshot {}: {e}", path.display()))?;
-        if snapshot.format_version != SNAPSHOT_FORMAT_VERSION {
+        if !(OLDEST_READABLE_FORMAT_VERSION..=SNAPSHOT_FORMAT_VERSION)
+            .contains(&snapshot.format_version)
+        {
             return Err(format!(
-                "snapshot {} has format version {}, this server reads {}",
+                "snapshot {} has format version {}, this server reads {}..={}",
                 path.display(),
                 snapshot.format_version,
+                OLDEST_READABLE_FORMAT_VERSION,
                 SNAPSHOT_FORMAT_VERSION
             ));
         }

@@ -187,6 +187,63 @@ fn store_rejects_version_mismatch_and_mislabelled_files() {
 }
 
 #[test]
+fn version_two_snapshots_still_load_and_resume() {
+    // Version 3 only dropped two keys of the search configuration (its parallel mode and
+    // virtual-loss weight), so a version-2 file — today's encoding plus those keys — must
+    // still load, and the resumed session must answer exactly as the saved one did.
+    let dir = scratch_dir("v2-resume");
+    let (session, saved) = {
+        let engine = ServeEngine::start(
+            ServeConfig::quick()
+                .with_threads(1)
+                .with_snapshot_dir(dir.clone()),
+        );
+        let opened = engine
+            .synthesize(figure1_queries(), 20, 30_000, 5)
+            .expect("synthesize");
+        let written = engine.drain_and_shutdown(std::time::Duration::from_secs(10));
+        assert!(written >= 1, "drain must persist the live session");
+        (opened.session, opened)
+    };
+
+    let path = dir.join(format!("session-{session}.json"));
+    let current = std::fs::read_to_string(&path).expect("read snapshot");
+    let version_two = current
+        .replacen(
+            &format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}"),
+            "\"format_version\":2",
+            1,
+        )
+        .replacen(
+            "\"config\":{",
+            "\"config\":{\"parallel\":\"Tree\",\"virtual_loss\":1.0,",
+            1,
+        );
+    assert!(version_two.contains("\"format_version\":2"));
+    assert!(version_two.contains("\"virtual_loss\":1.0"));
+    std::fs::write(&path, version_two).expect("write version-2 snapshot");
+
+    let store = SnapshotStore::open(dir.clone()).expect("open store");
+    let loaded = store
+        .load(session)
+        .expect("a version-2 snapshot loads")
+        .expect("the snapshot is present");
+    assert_eq!(loaded.format_version, 2);
+
+    let engine = ServeEngine::start(
+        ServeConfig::quick()
+            .with_threads(1)
+            .with_snapshot_dir(dir.clone()),
+    );
+    let resumed = engine.resume(session).expect("resume a version-2 snapshot");
+    assert_eq!(resumed.best.reward.to_bits(), saved.best.reward.to_bits());
+    assert_eq!(resumed.best.iterations, saved.best.iterations);
+    assert_eq!(resumed.interface, saved.interface);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn appended_queries_survive_the_snapshot_round_trip() {
     use mctsui_serve::SessionLogStat;
 

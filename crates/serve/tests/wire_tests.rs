@@ -95,6 +95,58 @@ fn eight_concurrent_scripted_sessions_succeed() {
 }
 
 #[test]
+fn batched_load_accounts_for_every_iteration_and_batch() {
+    // Two scripted sessions (synthesize + one refine, 15 iterations each) through one
+    // worker with leaf batches of 8, plus a probe session kept open so the per-log caches
+    // outlive the scripted sessions and their counters stay observable. The engine's
+    // post-run stats must account for every iteration, and the batching counters must
+    // prove the batched evaluation path ran.
+    let engine = ServeEngine::start(ServeConfig::quick().with_threads(1).with_batch(8));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server_engine = Arc::clone(&engine);
+    let server = std::thread::spawn(move || {
+        mctsui_serve::serve_on(server_engine, listener).expect("server failed");
+    });
+    let queries = demo_queries()
+        .iter()
+        .map(|sql| mctsui_sql::parse_query(sql).expect("demo query parses"))
+        .collect();
+    let probe = engine
+        .synthesize(queries, 1, 10_000, 999)
+        .expect("probe session");
+
+    let script = ScriptConfig {
+        iterations: 15,
+        refines: 1,
+        deadline_millis: 60_000,
+        seed: 5,
+        seed_stride: 1,
+        ..ScriptConfig::default()
+    };
+    let reports =
+        run_concurrent_sessions(&addr, &demo_queries(), &script, 2).expect("scripted sessions");
+    let requests: usize = reports.iter().map(|r| r.latencies_millis.len()).sum();
+    assert_eq!(requests, 4);
+
+    let stats = engine.stats();
+    assert_eq!(stats.total_iterations, 4 * 15 + 1);
+    assert!(stats.total_batches > 0, "batched evaluation never ran");
+    assert!(stats.mean_batch >= 1.0);
+    assert!((1..=8).contains(&stats.max_batch));
+    assert!((0.0..=1.0).contains(&stats.batch_group_hit_ratio));
+    assert!(
+        stats.context_cache.plans.hit_ratio() > 0.0,
+        "the probe lost the cache stats"
+    );
+
+    engine.close_session(probe.session).expect("close probe");
+    let mut client = Client::connect(&addr).expect("connect");
+    client.call(&Request::Shutdown).expect("shutdown");
+    server.join().expect("server thread");
+}
+
+#[test]
 fn scripted_appends_extend_the_live_log_over_tcp() {
     // The live-maintenance wire path end to end: a scripted session appends two drift
     // queries (one of them malformed, so it lands in quarantine), the server grafts and

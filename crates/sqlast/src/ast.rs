@@ -352,7 +352,7 @@ impl Ast {
     }
 
     /// Create a leaf node carrying a value.
-    pub fn leaf_with(kind: NodeKind, value: Literal) -> Self {
+    pub(crate) fn leaf_with(kind: NodeKind, value: Literal) -> Self {
         Self {
             kind,
             value: Some(value),
@@ -387,16 +387,6 @@ impl Ast {
     /// This node's children.
     pub fn children(&self) -> &[Ast] {
         &self.children
-    }
-
-    /// Mutable access to children (used by the parser and workload perturbations).
-    pub fn children_mut(&mut self) -> &mut Vec<Ast> {
-        &mut self.children
-    }
-
-    /// Replace this node's literal value.
-    pub fn set_value(&mut self, value: Option<Literal>) {
-        self.value = value;
     }
 
     /// True if this is the canonical empty node.
@@ -602,7 +592,7 @@ mod tests {
     fn fingerprint_distinguishes_different_trees() {
         let a = sample();
         let mut b = sample();
-        b.children_mut()[0] = Ast::new(
+        b.children[0] = Ast::new(
             NodeKind::Project,
             vec![Ast::new(
                 NodeKind::ProjItem,

@@ -22,23 +22,6 @@ pub struct DiffEntry {
     pub right: Ast,
 }
 
-impl DiffEntry {
-    /// True if this difference is the insertion or removal of an entire subtree.
-    pub fn is_presence_change(&self) -> bool {
-        self.left.is_empty_node() || self.right.is_empty_node()
-    }
-
-    /// True if both sides are single leaves of the same kind that only differ in value
-    /// (e.g. `USA` vs `EUR`, `10` vs `100`). These are the differences widgets express most
-    /// cheaply.
-    pub fn is_value_change(&self) -> bool {
-        self.left.children().is_empty()
-            && self.right.children().is_empty()
-            && self.left.kind() == self.right.kind()
-            && self.left.value() != self.right.value()
-    }
-}
-
 /// The complete diff between two ASTs.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AstDiff {
@@ -55,26 +38,6 @@ impl AstDiff {
     /// Number of differing positions.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Total number of AST nodes involved in the differences (a rough "edit size").
-    pub fn edit_size(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| {
-                let l = if e.left.is_empty_node() {
-                    0
-                } else {
-                    e.left.size()
-                };
-                let r = if e.right.is_empty_node() {
-                    0
-                } else {
-                    e.right.size()
-                };
-                l + r
-            })
-            .sum()
     }
 }
 
@@ -227,12 +190,25 @@ mod tests {
     use crate::ast::NodeKind;
     use crate::parser::parse_query;
 
+    /// Whether `entry` inserts or removes an entire subtree.
+    fn is_presence_change(entry: &DiffEntry) -> bool {
+        entry.left.is_empty_node() || entry.right.is_empty_node()
+    }
+
+    /// Whether both sides of `entry` are single leaves of one kind that differ only in value
+    /// (e.g. `USA` vs `EUR`, `10` vs `100`).
+    fn is_value_change(entry: &DiffEntry) -> bool {
+        entry.left.children().is_empty()
+            && entry.right.children().is_empty()
+            && entry.left.kind() == entry.right.kind()
+            && entry.left.value() != entry.right.value()
+    }
+
     #[test]
     fn identical_queries_have_empty_diff() {
         let q = parse_query("select x from t where a = 1").unwrap();
         let d = diff_asts(&q, &q);
         assert!(d.is_empty());
-        assert_eq!(d.edit_size(), 0);
     }
 
     #[test]
@@ -242,7 +218,7 @@ mod tests {
         let q2 = parse_query("SELECT Costs FROM sales WHERE cty = 'EUR'").unwrap();
         let d = diff_asts(&q1, &q2);
         assert_eq!(d.len(), 2);
-        assert!(d.entries.iter().all(|e| e.is_value_change()));
+        assert!(d.entries.iter().all(is_value_change));
         let kinds: Vec<NodeKind> = d.entries.iter().map(|e| e.left.kind()).collect();
         assert!(kinds.contains(&NodeKind::ColExpr));
         assert!(kinds.contains(&NodeKind::StrExpr));
@@ -255,7 +231,7 @@ mod tests {
         let d = diff_asts(&q2, &q3);
         assert_eq!(d.len(), 1);
         let entry = &d.entries[0];
-        assert!(entry.is_presence_change());
+        assert!(is_presence_change(entry));
         assert_eq!(entry.left.kind(), NodeKind::Where);
         assert!(entry.right.is_empty_node());
     }
@@ -287,7 +263,7 @@ mod tests {
         let b = parse_query("select x from t where u between 5 and 30").unwrap();
         let d = diff_asts(&a, &b);
         assert_eq!(d.len(), 1);
-        assert!(d.entries[0].is_value_change());
+        assert!(is_value_change(&d.entries[0]));
         assert_eq!(d.entries[0].left.value().unwrap().as_number(), Some(0.0));
         assert_eq!(d.entries[0].right.value().unwrap().as_number(), Some(5.0));
     }
@@ -299,7 +275,7 @@ mod tests {
         let d = diff_asts(&a, &b);
         assert_eq!(d.len(), 1);
         assert_eq!(d.entries[0].left.kind(), NodeKind::Table);
-        assert!(d.entries[0].is_value_change());
+        assert!(is_value_change(&d.entries[0]));
     }
 
     #[test]
@@ -310,16 +286,7 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d.entries[0].left.kind(), NodeKind::ColExpr);
         assert_eq!(d.entries[0].right.kind(), NodeKind::FuncExpr);
-        assert!(!d.entries[0].is_value_change());
-    }
-
-    #[test]
-    fn edit_size_counts_nodes_on_both_sides() {
-        let a = parse_query("select x from t where a = 1").unwrap();
-        let b = parse_query("select x from t").unwrap();
-        let d = diff_asts(&a, &b);
-        // WHERE clause has 4 nodes (Where, BiExpr, ColExpr, NumExpr); right side is empty.
-        assert_eq!(d.edit_size(), 4);
+        assert!(!is_value_change(&d.entries[0]));
     }
 
     #[test]

@@ -172,7 +172,7 @@ static INTERNER: OnceLock<Mutex<LabelInterner>> = OnceLock::new();
 
 /// Intern a label, returning its canonical id. Idempotent: equal labels always map to the
 /// same id.
-pub fn intern_label(label: Label) -> LabelId {
+pub(crate) fn intern_label(label: Label) -> LabelId {
     let interner = INTERNER.get_or_init(|| {
         Mutex::new(LabelInterner {
             by_label: HashMap::new(),

@@ -49,8 +49,8 @@ pub mod view;
 pub use ast::{Ast, AstPath, Literal, NodeKind};
 pub use diff::{diff_asts, AstDiff, DiffEntry};
 pub use error::{ParseError, Result, SyntaxError};
-pub use intern::{intern_label, Label, LabelId};
-pub use parser::{parse_query, parse_query_lenient, LenientParse, Parser};
+pub use intern::{Label, LabelId};
+pub use parser::{parse_query, parse_query_lenient, LenientParse};
 pub use printer::print_query;
-pub use token::{tokenize, tokenize_lenient, Token, TokenKind};
+pub use token::{Token, TokenKind};
 pub use view::QueryView;

@@ -45,11 +45,6 @@ impl LenientParse {
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty() && self.ast.is_some()
     }
-
-    /// The first (source-order) diagnostic, if any.
-    pub fn first_error(&self) -> Option<&SyntaxError> {
-        self.errors.first()
-    }
 }
 
 /// Parse a single SQL query, recovering from malformed spans instead of failing.
@@ -85,14 +80,14 @@ pub fn parse_query_lenient(input: &str) -> LenientParse {
 }
 
 /// A hand-written recursive-descent parser over a token stream.
-pub struct Parser {
+pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
 }
 
 impl Parser {
     /// Create a parser from a token stream (normally produced by [`tokenize`]).
-    pub fn new(tokens: Vec<Token>) -> Self {
+    pub(crate) fn new(tokens: Vec<Token>) -> Self {
         Self { tokens, pos: 0 }
     }
 
@@ -147,7 +142,7 @@ impl Parser {
     }
 
     /// Verify that all tokens have been consumed (a trailing `;` is allowed).
-    pub fn expect_end(&mut self) -> Result<()> {
+    fn expect_end(&mut self) -> Result<()> {
         self.eat_symbol(";");
         match self.peek().kind {
             TokenKind::Eof => Ok(()),
@@ -156,7 +151,7 @@ impl Parser {
     }
 
     /// Parse a full statement: a plain `SELECT` or a `WITH ... SELECT`.
-    pub fn parse_statement(&mut self) -> Result<Ast> {
+    fn parse_statement(&mut self) -> Result<Ast> {
         if self.peek().is_keyword("WITH") {
             self.parse_with()
         } else {
@@ -200,7 +195,7 @@ impl Parser {
     }
 
     /// Parse a full `SELECT` statement.
-    pub fn parse_select(&mut self) -> Result<Ast> {
+    fn parse_select(&mut self) -> Result<Ast> {
         self.expect_keyword("SELECT")?;
 
         let mut top: Option<Ast> = None;
@@ -340,7 +335,7 @@ impl Parser {
     }
 
     /// Parse a boolean/arithmetic expression (entry point usable for WHERE/HAVING contents).
-    pub fn parse_expr(&mut self) -> Result<Ast> {
+    fn parse_expr(&mut self) -> Result<Ast> {
         self.parse_or()
     }
 
@@ -550,7 +545,7 @@ impl Parser {
 
     /// Lenient counterpart of [`Parser::parse_statement`]: never fails, records
     /// diagnostics into `errors`, and returns the recovered statement if any.
-    pub fn parse_statement_lenient(&mut self, errors: &mut Vec<SyntaxError>) -> Option<Ast> {
+    fn parse_statement_lenient(&mut self, errors: &mut Vec<SyntaxError>) -> Option<Ast> {
         if !self.peek().is_keyword("SELECT") && !self.peek().is_keyword("WITH") {
             errors.push(SyntaxError::new(
                 "expected SELECT or WITH",

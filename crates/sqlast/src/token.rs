@@ -23,7 +23,7 @@ pub enum TokenKind {
     Symbol(String),
     /// A span the lexer could not tokenize; the payload is the diagnostic message.
     ///
-    /// Only produced by [`tokenize_lenient`] — the strict [`tokenize`] turns the first
+    /// Only produced by `tokenize_lenient` — the strict `tokenize` turns the first
     /// error token into a [`ParseError`] instead.
     Error(String),
     /// End of input marker.
@@ -45,12 +45,12 @@ impl Token {
     }
 
     /// True if the token is the given keyword (case-insensitive at lex time).
-    pub fn is_keyword(&self, kw: &str) -> bool {
+    pub(crate) fn is_keyword(&self, kw: &str) -> bool {
         matches!(&self.kind, TokenKind::Keyword(k) if k == kw)
     }
 
     /// True if the token is the given symbol.
-    pub fn is_symbol(&self, sym: &str) -> bool {
+    pub(crate) fn is_symbol(&self, sym: &str) -> bool {
         matches!(&self.kind, TokenKind::Symbol(s) if s == sym)
     }
 }
@@ -75,7 +75,7 @@ fn is_ident_continue(c: char) -> bool {
 /// overflow). This is [`tokenize_lenient`] with the first [`TokenKind::Error`] token
 /// promoted to a hard [`ParseError`]; both scanners see identical token streams up to
 /// that point.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let tokens = tokenize_lenient(input);
     for token in &tokens {
         if let TokenKind::Error(message) = &token.kind {
@@ -88,7 +88,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 /// Tokenize without ever failing: malformed spans become [`TokenKind::Error`] tokens
 /// carrying their diagnostic message, and scanning continues after them. The stream is
 /// still terminated by [`TokenKind::Eof`], so downstream recovery always has an anchor.
-pub fn tokenize_lenient(input: &str) -> Vec<Token> {
+pub(crate) fn tokenize_lenient(input: &str) -> Vec<Token> {
     let bytes: Vec<char> = input.chars().collect();
     let mut tokens = Vec::with_capacity(input.len() / 4 + 4);
     let mut i = 0usize;

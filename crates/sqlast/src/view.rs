@@ -5,7 +5,7 @@
 //! scan?" or "what are its projected columns?". [`QueryView`] provides those accessors
 //! without duplicating the tree structure.
 
-use crate::ast::{Ast, AstPath, Literal, NodeKind};
+use crate::ast::{Ast, Literal, NodeKind};
 
 /// A lightweight read-only view over a query AST rooted at `Select`.
 #[derive(Debug, Clone, Copy)]
@@ -26,14 +26,6 @@ impl<'a> QueryView<'a> {
 
     fn clause(&self, kind: NodeKind) -> Option<&'a Ast> {
         self.ast.children().iter().find(|c| c.kind() == kind)
-    }
-
-    fn clause_path(&self, kind: NodeKind) -> Option<AstPath> {
-        self.ast
-            .children()
-            .iter()
-            .position(|c| c.kind() == kind)
-            .map(|i| AstPath(vec![i]))
     }
 
     /// The tables referenced in the `FROM` clause.
@@ -62,7 +54,7 @@ impl<'a> QueryView<'a> {
     }
 
     /// The `WHERE` predicate, if present.
-    pub fn where_predicate(&self) -> Option<&'a Ast> {
+    fn where_predicate(&self) -> Option<&'a Ast> {
         self.clause(NodeKind::Where)
             .and_then(|w| w.children().first())
     }
@@ -74,35 +66,6 @@ impl<'a> QueryView<'a> {
             .and_then(|n| n.value())
             .and_then(|v| v.as_number())
             .map(|f| f as i64)
-    }
-
-    /// True if the query has a `GROUP BY` clause.
-    pub fn has_group_by(&self) -> bool {
-        self.clause(NodeKind::GroupBy).is_some()
-    }
-
-    /// Path of the `WHERE` clause within the AST (useful for widget targeting).
-    pub fn where_path(&self) -> Option<AstPath> {
-        self.clause_path(NodeKind::Where)
-    }
-
-    /// Path of the `Top` clause within the AST.
-    pub fn top_path(&self) -> Option<AstPath> {
-        self.clause_path(NodeKind::Top)
-    }
-
-    /// Column names referenced anywhere in the query (projection, predicates, grouping).
-    pub fn referenced_columns(&self) -> Vec<String> {
-        let mut cols: Vec<String> = self
-            .ast
-            .walk()
-            .into_iter()
-            .filter(|(_, n)| n.kind() == NodeKind::ColExpr)
-            .filter_map(|(_, n)| n.value().and_then(Literal::as_str).map(str::to_string))
-            .collect();
-        cols.sort();
-        cols.dedup();
-        cols
     }
 
     /// Every comparison / BETWEEN predicate as `(column, operator, rendered operands)`.
@@ -206,16 +169,6 @@ mod tests {
         assert_eq!(v.tables(), vec!["galaxies"]);
         assert_eq!(v.projections(), vec!["objid"]);
         assert_eq!(v.top_n(), Some(100));
-        assert!(!v.has_group_by());
-        assert!(v.where_path().is_some());
-        assert!(v.top_path().is_some());
-    }
-
-    #[test]
-    fn referenced_columns_are_sorted_and_deduped() {
-        let q = parse_query("select u, g from stars where u between 0 and 30 and g > 5").unwrap();
-        let v = QueryView::new(&q).unwrap();
-        assert_eq!(v.referenced_columns(), vec!["g", "u"]);
     }
 
     #[test]
@@ -241,6 +194,5 @@ mod tests {
         assert!(v.where_predicate().is_none());
         assert_eq!(v.top_n(), None);
         assert!(v.predicates().is_empty());
-        assert!(v.where_path().is_none());
     }
 }

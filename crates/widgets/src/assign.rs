@@ -45,7 +45,7 @@ impl WidgetChoiceMap {
 
     /// The layout orientation for the grouping node at `path` (default: vertical, the
     /// conventional stacked-form layout).
-    pub fn orientation_for(&self, path: &DiffPath) -> LayoutKind {
+    pub(crate) fn orientation_for(&self, path: &DiffPath) -> LayoutKind {
         self.orientations
             .get(path)
             .copied()
@@ -104,7 +104,7 @@ thread_local! {
 /// Memoized per thread on the domain features that determine the answer, so assignment
 /// strategies that visit the same domain shapes repeatedly (every rollout of a search) skip
 /// the filter-and-sort after the first encounter.
-pub fn compatible_widgets(domain: &ChoiceDomain) -> Vec<WidgetType> {
+pub(crate) fn compatible_widgets(domain: &ChoiceDomain) -> Vec<WidgetType> {
     let key = CompatKey::of(domain);
     COMPAT_CACHE.with(|cache| {
         if let Some(hit) = cache.borrow().get(&key) {
@@ -155,7 +155,7 @@ pub fn random_assignment(tree: &DiffTree, seed: u64) -> WidgetChoiceMap {
 }
 
 /// Random assignment drawing from a caller-provided RNG.
-pub fn random_assignment_with<R: Rng>(tree: &DiffTree, rng: &mut R) -> WidgetChoiceMap {
+fn random_assignment_with<R: Rng>(tree: &DiffTree, rng: &mut R) -> WidgetChoiceMap {
     let mut map = WidgetChoiceMap::default();
     for domain in mctsui_difftree::domain::choice_domains(tree) {
         let candidates = compatible_widgets(&domain);
@@ -258,12 +258,6 @@ fn orientation_patterns(tree: &DiffTree) -> Vec<BTreeMap<DiffPath, LayoutKind>> 
         })
         .collect();
     vec![all_vertical, alternating, all_horizontal]
-}
-
-/// Convenience: is a domain better served by compact widgets (dropdowns) than spread-out ones
-/// (radio buttons / buttons)? Used by callers that want a quick space-sensitive default.
-pub fn prefers_compact(domain: &ChoiceDomain) -> bool {
-    domain.cardinality > 6 || domain.value_kind == DomainValueKind::Subtree
 }
 
 #[cfg(test)]
@@ -383,14 +377,6 @@ mod tests {
         let assignments = enumerate_assignments(&tree, 10);
         assert!(!assignments.is_empty());
         assert!(assignments.iter().all(|a| a.types.is_empty()));
-    }
-
-    #[test]
-    fn prefers_compact_for_large_or_subtree_domains() {
-        let mut d = numeric_domain();
-        assert!(!prefers_compact(&d));
-        d.cardinality = 20;
-        assert!(prefers_compact(&d));
     }
 
     #[test]

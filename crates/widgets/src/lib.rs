@@ -26,8 +26,7 @@ pub mod tree;
 pub mod widget;
 
 pub use assign::{
-    best_widget_for, compatible_widgets, default_assignment, enumerate_assignments,
-    random_assignment, WidgetChoiceMap,
+    best_widget_for, default_assignment, enumerate_assignments, random_assignment, WidgetChoiceMap,
 };
 pub use screen::Screen;
 pub use skeleton::{CandidateWidget, ChoiceSlot, LayoutSkeleton, SlotAssignment};

@@ -144,7 +144,7 @@ impl SlotAssignment {
 
     /// The orientation code chosen for orientation slot `i`.
     #[inline]
-    pub fn orient(&self, i: usize) -> usize {
+    fn orient(&self, i: usize) -> usize {
         self.slots[self.choice_count + i] as usize
     }
 
@@ -350,11 +350,6 @@ impl LayoutSkeleton {
         &self.choice_slots
     }
 
-    /// The orientation slots.
-    pub fn orient_slots(&self) -> &[OrientSlot] {
-        &self.orient_slots
-    }
-
     /// Number of interaction widgets in the compiled interface.
     pub fn widget_count(&self) -> usize {
         self.choice_slots.len()
@@ -381,7 +376,7 @@ impl LayoutSkeleton {
 
     /// Overwrite `out` with a random assignment drawn from `rng`: a uniformly random
     /// *compatible* candidate per choice slot and a 2:1:1 vertical/horizontal/tabs draw per
-    /// orientation slot (the same marginals as [`crate::assign::random_assignment_with`]).
+    /// orientation slot (the same marginals as `crate::assign::random_assignment_with`).
     /// Reusing one buffer across the `k` samples of a rollout keeps sampling allocation-free.
     pub fn sample_into<R: Rng>(&self, out: &mut SlotAssignment, rng: &mut R) {
         out.choice_count = self.choice_slots.len();
@@ -400,7 +395,7 @@ impl LayoutSkeleton {
     }
 
     /// Convert a [`WidgetChoiceMap`] into slot form, applying exactly the fallback rules of
-    /// [`WidgetChoiceMap::type_for`] / [`WidgetChoiceMap::orientation_for`]: inexpressible or
+    /// [`WidgetChoiceMap::type_for`] / `WidgetChoiceMap::orientation_for`: inexpressible or
     /// missing type entries fall back to the best candidate, missing orientations to
     /// vertical.
     pub fn slots_from_map(&self, map: &WidgetChoiceMap) -> SlotAssignment {
@@ -630,7 +625,7 @@ mod tests {
         let tree = factored_figure1_tree();
         let skeleton = LayoutSkeleton::compile(&tree);
         let mut map = default_assignment(&tree);
-        for slot in skeleton.orient_slots() {
+        for slot in &skeleton.orient_slots {
             map.orientations
                 .insert(slot.path.clone(), LayoutKind::Adder);
         }
@@ -696,7 +691,7 @@ mod tests {
             for (i, slot) in skeleton.choice_slots().iter().enumerate() {
                 assert!(slots.choice(i) < slot.sampled as usize);
             }
-            for i in 0..skeleton.orient_slots().len() {
+            for i in 0..skeleton.orient_slots.len() {
                 assert!(slots.orient(i) < 3);
             }
         }

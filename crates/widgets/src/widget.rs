@@ -112,7 +112,7 @@ impl SizeClass {
     }
 
     /// Classify a natural pixel area into a template.
-    pub fn classify(width: u32, height: u32) -> SizeClass {
+    fn classify(width: u32, height: u32) -> SizeClass {
         let area = width as u64 * height as u64;
         if area <= 3_000 {
             SizeClass::Small
@@ -162,15 +162,6 @@ impl Widget {
         let (_, h) = natural_size(self.widget_type, &self.domain);
         (h as f64 * self.size.scale()).round() as u32
     }
-
-    /// True if this widget can express every option of its domain.
-    ///
-    /// A widget/domain pairing can be *possible but awkward* (high appropriateness cost) or
-    /// *impossible* (e.g. a slider cannot express arbitrary subtrees); impossible pairings are
-    /// excluded from assignment enumeration altogether.
-    pub fn is_expressive(&self) -> bool {
-        widget_can_express(self.widget_type, &self.domain)
-    }
 }
 
 /// Character-width constant used by the size model (average glyph width at 14px font).
@@ -179,7 +170,7 @@ const CHAR_W: u32 = 8;
 const ROW_H: u32 = 26;
 
 /// Natural (un-discretised) pixel size of a widget type bound to a domain.
-pub fn natural_size(widget_type: WidgetType, domain: &ChoiceDomain) -> (u32, u32) {
+fn natural_size(widget_type: WidgetType, domain: &ChoiceDomain) -> (u32, u32) {
     let label_w = domain.max_label_len as u32 * CHAR_W;
     let card = domain.cardinality.max(1) as u32;
     match widget_type {
@@ -294,7 +285,7 @@ pub fn appropriateness_cost(widget_type: WidgetType, domain: &ChoiceDomain) -> f
 
 /// The widget types compatible with a choice node of the given kind (used to bound
 /// enumeration before domain-level filtering).
-pub fn candidate_types_for_kind(kind: DiffKind) -> &'static [WidgetType] {
+pub(crate) fn candidate_types_for_kind(kind: DiffKind) -> &'static [WidgetType] {
     match kind {
         DiffKind::Any => &[
             WidgetType::Dropdown,
@@ -464,10 +455,10 @@ mod tests {
     }
 
     #[test]
-    fn is_expressive_reflects_domain() {
-        let w = Widget::new(WidgetType::Slider, num_domain(&[10, 100, 1000]));
-        assert!(w.is_expressive());
-        let bad = Widget::new(WidgetType::Slider, cat_domain(&["x", "y"]));
-        assert!(!bad.is_expressive());
+    fn sliders_express_numeric_domains_only() {
+        let numeric = num_domain(&[10, 100, 1000]);
+        assert!(widget_can_express(WidgetType::Slider, &numeric));
+        let categorical = cat_domain(&["x", "y"]);
+        assert!(!widget_can_express(WidgetType::Slider, &categorical));
     }
 }

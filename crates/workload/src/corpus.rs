@@ -362,14 +362,6 @@ impl CorpusLog {
         self.queries.is_empty()
     }
 
-    /// True if any query in the log contains a scalar subquery or a CTE — the dialect
-    /// breadth acceptance check of the fuzz harness.
-    pub fn uses_extended_dialect(&self) -> bool {
-        self.sql
-            .iter()
-            .any(|s| s.contains("(select") || s.starts_with("with "))
-    }
-
     /// Splice seeded noise into some of the session's queries: the malformed-input side
     /// of the fuzz ladder. Returns the degraded SQL log plus the (sorted) indices that
     /// were mutated. At least one query is always left untouched, so a triaged log keeps
@@ -1010,6 +1002,14 @@ fn pick_subset_ref<'a, T>(rng: &mut StdRng, items: &'a [T], lo: usize, hi: usize
 mod tests {
     use super::*;
 
+    /// True if any query in the log contains a scalar subquery or a CTE — the dialect
+    /// breadth the fuzz harness relies on.
+    fn uses_extended_dialect(log: &CorpusLog) -> bool {
+        log.sql
+            .iter()
+            .any(|s| s.contains("(select") || s.starts_with("with "))
+    }
+
     #[test]
     fn generation_is_deterministic_per_spec() {
         for family in SchemaFamily::ALL {
@@ -1078,11 +1078,8 @@ mod tests {
     fn extended_dialect_appears_across_the_corpus() {
         // Sweep a seed range per family: subqueries/CTEs must show up somewhere.
         for family in SchemaFamily::ALL {
-            let hit = (0..30).any(|seed| {
-                CorpusSpec::new(family, seed)
-                    .generate()
-                    .uses_extended_dialect()
-            });
+            let hit = (0..30)
+                .any(|seed| uses_extended_dialect(&CorpusSpec::new(family, seed).generate()));
             assert!(hit, "{family}: no subquery or CTE in 30 seeds");
         }
         // Snowflake specifically is CTE-heavy.

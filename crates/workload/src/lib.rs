@@ -20,5 +20,5 @@ pub mod synthetic;
 
 pub use corpus::{apply_noise, CorpusLog, CorpusSchema, CorpusSpec, NoiseOp, SchemaFamily};
 pub use scenario::{Scenario, ScenarioId};
-pub use sdss::{sdss_listing1, sdss_listing1_sql, sdss_subset};
+pub use sdss::{sdss_listing1, sdss_listing1_sql};
 pub use synthetic::{LogSpec, SyntheticLog};

@@ -69,7 +69,7 @@ pub fn sdss_listing1() -> Vec<Ast> {
 
 /// A 1-based inclusive slice of Listing 1, e.g. `sdss_subset(6, 8)` is the three-query log of
 /// Figure 6(c).
-pub fn sdss_subset(from: usize, to: usize) -> Vec<Ast> {
+pub(crate) fn sdss_subset(from: usize, to: usize) -> Vec<Ast> {
     let all = sdss_listing1();
     let from = from.clamp(1, all.len());
     let to = to.clamp(from, all.len());

@@ -66,7 +66,6 @@ fn compare(seconds: u64) {
 
     let strategies: Vec<(&str, SearchStrategy)> = vec![
         ("mcts", SearchStrategy::Mcts),
-        ("mcts-parallel(4)", SearchStrategy::MctsParallel(4)),
         ("greedy", SearchStrategy::Greedy),
         (
             "random-walk",

@@ -16,8 +16,6 @@
 //!   --seconds <n>                MCTS wall-clock budget in seconds (default: 10)
 //!   --iterations <n>             MCTS iteration cap (default: 4000)
 //!   --strategy <mcts|greedy|random|beam|initial>   search strategy (default: mcts)
-//!   --threads <n>                MCTS worker threads (default: 1 = sequential)
-//!   --parallel <tree|root>       worker topology for --threads > 1 (default: tree)
 //!   --seed <n>                   RNG seed (default: 42)
 //!   --format <ascii|html|json>   output format (default: ascii; json = full description)
 //!   --out <path>                 write the rendered interface to a file instead of stdout
@@ -66,7 +64,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use mctsui::core::{GeneratorConfig, InterfaceDescription, InterfaceGenerator, SearchStrategy};
-use mctsui::mcts::{Budget, ParallelMode};
+use mctsui::mcts::Budget;
 use mctsui::render::{render_ascii, render_html};
 use mctsui::serve::{
     run_concurrent_sessions, run_resume_session, Client, FaultPlan, Request, Response,
@@ -84,8 +82,6 @@ struct Options {
     seconds: u64,
     iterations: usize,
     strategy: SearchStrategy,
-    threads: usize,
-    parallel: ParallelMode,
     seed: u64,
     format: Format,
     out: Option<String>,
@@ -109,8 +105,6 @@ impl Default for Options {
             seconds: 10,
             iterations: 4_000,
             strategy: SearchStrategy::Mcts,
-            threads: 1,
-            parallel: ParallelMode::Tree,
             seed: 42,
             format: Format::Ascii,
             out: None,
@@ -496,22 +490,13 @@ fn one_shot_main(args: Vec<String>) -> ExitCode {
         eprintln!("  {}", print_query(q));
     }
 
-    // --threads upgrades a plain MCTS run to the parallel driver; the topology (shared
-    // tree with virtual loss vs independent root-parallel trees) comes from --parallel.
-    let strategy = match options.strategy {
-        SearchStrategy::Mcts if options.threads > 1 => {
-            SearchStrategy::MctsParallel(options.threads)
-        }
-        other => other,
-    };
-    let mut config = GeneratorConfig::paper_defaults(options.screen)
+    let config = GeneratorConfig::paper_defaults(options.screen)
         .with_budget(Budget::Either {
             iterations: options.iterations,
             time_millis: options.seconds * 1000,
         })
         .with_seed(options.seed)
-        .with_strategy(strategy);
-    config.mcts.parallel = options.parallel;
+        .with_strategy(options.strategy);
     let interface = InterfaceGenerator::new(queries, config).generate();
 
     eprintln!(
@@ -575,18 +560,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
             }
             "--seed" => {
                 options.seed = parse_number(&iter.next().ok_or("--seed needs a value")?)?;
-            }
-            "--threads" => {
-                options.threads =
-                    (parse_number(&iter.next().ok_or("--threads needs a value")?)? as usize).max(1);
-            }
-            "--parallel" => {
-                let value = iter.next().ok_or("--parallel needs a value")?;
-                options.parallel = match value.as_str() {
-                    "tree" => ParallelMode::Tree,
-                    "root" => ParallelMode::Root,
-                    other => return Err(format!("unknown parallel mode `{other}`")),
-                };
             }
             "--strategy" => {
                 let value = iter.next().ok_or("--strategy needs a value")?;
@@ -726,8 +699,6 @@ fn usage() -> String {
        --seconds <n>                                   search budget in seconds (default 10)\n\
        --iterations <n>                                iteration cap (default 4000)\n\
        --strategy <mcts|greedy|random|beam|initial>    search strategy (default mcts)\n\
-       --threads <n>                                   MCTS worker threads (default 1)\n\
-       --parallel <tree|root>                          worker topology (default tree)\n\
        --seed <n>                                      RNG seed (default 42)\n\
        --format <ascii|html|json>                      output format (default ascii)\n\
        --out <path>                                    write output to a file\n\
