@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p mctsui-bench --bin fuzzdiff -- \
 //!     [--families all|star,snowflake,log] [--seeds LO..HI] \
-//!     [--oracles all|actions,reward,search,serve,snapshot,noise,append] \
+//!     [--oracles all|actions,reward,search,serve,snapshot,noise,append,express] \
 //!     [--noise] [--jobs N] [--append <path>] [--verbose]
 //! ```
 //!
@@ -17,7 +17,8 @@
 //! appended to that file (normally `crates/bench/regressions.txt`, which `cargo test`
 //! replays). Exit status is non-zero on any failure, or when a sweep of 20+ seeds over
 //! all families never produces a scalar subquery or CTE — the dialect-coverage guard of
-//! the corpus itself.
+//! the corpus itself. The summary also counts the comparisons skipped because a bounded
+//! reference gave up (the `express` rung's enumerating matcher).
 //!
 //! `--jobs N` shards the sweep over `N` worker threads. Scenarios are independent, and
 //! every scenario's result is fully determined by its `(family, seed[, op])` key, so the
@@ -44,7 +45,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: fuzzdiff [--families all|star,snowflake,log] [--seeds LO..HI] \
-         [--oracles all|actions,reward,search,serve,snapshot,noise,append] [--noise] \
+         [--oracles all|actions,reward,search,serve,snapshot,noise,append,express] [--noise] \
          [--jobs N] [--append <path>] [--verbose]"
     );
     std::process::exit(2)
@@ -237,8 +238,10 @@ fn main() -> ExitCode {
     let mut subquery_logs = 0usize;
     let mut cte_logs = 0usize;
     let mut queries_total = 0usize;
+    let mut skipped = 0usize;
     for outcome in outcomes {
         queries_total += outcome.queries;
+        skipped += outcome.skipped;
         subquery_logs += usize::from(outcome.has_subquery);
         cte_logs += usize::from(outcome.has_cte);
         let label = match outcome.op {
@@ -267,7 +270,7 @@ fn main() -> ExitCode {
     std::panic::set_hook(default_hook);
 
     println!(
-        "swept {total} scenarios ({queries_total} queries) in {:.1}s: {} failed; {subquery_logs} logs with subqueries, {cte_logs} with CTEs",
+        "swept {total} scenarios ({queries_total} queries) in {:.1}s: {} failed; {subquery_logs} logs with subqueries, {cte_logs} with CTEs; {skipped} reference comparisons skipped",
         started.elapsed().as_secs_f64(),
         failures.len()
     );

@@ -1,7 +1,7 @@
 //! Differential fuzz harness: the oracle ladder run over the generated scenario corpus.
 //!
 //! Each corpus scenario (`corpus:<family>:<seed>`, see `mctsui_workload::corpus`) is swept
-//! through seven differential oracles, each pinning an optimised path against its slow
+//! through eight differential oracles, each pinning an optimised path against its slow
 //! reference implementation **bit-for-bit**:
 //!
 //! 1. **actions** — `RuleEngine::applicable` (incremental action index) against
@@ -24,6 +24,11 @@
 //!    incrementally maintained tree, checked bit-identical to a full `initial_difftree`
 //!    re-derive at every prefix and after seeded random retracts, plus one
 //!    search-from-final-state bit-identity check.
+//! 8. **express** — the expressibility rung: `Expressor::express` (the chart, warm across
+//!    states) against the enumerating reference `express_enumerating` for every query, on
+//!    the initial and the saturated difftree, every one-edit successor of the initial
+//!    tree, and two seeded 200-step random walks. The reference's work is bounded; a
+//!    comparison where it gives up is skipped and counted ([`ScenarioOutcome::skipped`]).
 //!
 //! Failures are already minimal — a `(family, seed)` pair (plus a noise op for rung 6)
 //! reproduces them — and are appended to the checked-in regression corpus
@@ -63,11 +68,14 @@ pub enum Oracle {
     /// Live-maintenance parity: the append/retract-maintained tree against a full
     /// `initial_difftree` re-derive at every log prefix and after seeded random retracts.
     Append,
+    /// Expressibility parity: the chart-backed `Expressor` against the enumerating
+    /// reference matcher on every state of seeded rollout-like walks.
+    Express,
 }
 
 impl Oracle {
     /// Every oracle, in ladder order.
-    pub const ALL: [Oracle; 7] = [
+    pub const ALL: [Oracle; 8] = [
         Oracle::Actions,
         Oracle::Reward,
         Oracle::Search,
@@ -75,6 +83,7 @@ impl Oracle {
         Oracle::Snapshot,
         Oracle::Noise,
         Oracle::Append,
+        Oracle::Express,
     ];
 
     /// Stable name used on the `fuzzdiff` command line.
@@ -87,6 +96,7 @@ impl Oracle {
             Oracle::Snapshot => "snapshot",
             Oracle::Noise => "noise",
             Oracle::Append => "append",
+            Oracle::Express => "express",
         }
     }
 
@@ -95,15 +105,18 @@ impl Oracle {
         Self::ALL.into_iter().find(|o| o.name() == name)
     }
 
-    fn run(&self, scenario: &Scenario, seed: u64) -> Result<(), String> {
+    /// Run this oracle; `Ok` carries the number of comparisons skipped because the
+    /// reference gave up.
+    fn run(&self, scenario: &Scenario, seed: u64) -> Result<usize, String> {
         match self {
-            Oracle::Actions => oracle_actions(scenario),
-            Oracle::Reward => oracle_reward(scenario, seed),
-            Oracle::Search => oracle_search(scenario, seed),
-            Oracle::Serve => oracle_serve(scenario, seed),
-            Oracle::Snapshot => oracle_snapshot(scenario, seed),
-            Oracle::Noise => oracle_noise(scenario, seed),
-            Oracle::Append => oracle_append(scenario, seed),
+            Oracle::Actions => oracle_actions(scenario).map(|()| 0),
+            Oracle::Reward => oracle_reward(scenario, seed).map(|()| 0),
+            Oracle::Search => oracle_search(scenario, seed).map(|()| 0),
+            Oracle::Serve => oracle_serve(scenario, seed).map(|()| 0),
+            Oracle::Snapshot => oracle_snapshot(scenario, seed).map(|()| 0),
+            Oracle::Noise => oracle_noise(scenario, seed).map(|()| 0),
+            Oracle::Append => oracle_append(scenario, seed).map(|()| 0),
+            Oracle::Express => oracle_express(scenario, seed),
         }
     }
 }
@@ -123,6 +136,8 @@ pub struct ScenarioOutcome {
     pub has_cte: bool,
     /// Every oracle failure: `(oracle name, message)`. Empty means the scenario passed.
     pub failures: Vec<(&'static str, String)>,
+    /// Comparisons skipped because a bounded reference implementation gave up.
+    pub skipped: usize,
 }
 
 impl ScenarioOutcome {
@@ -169,6 +184,7 @@ pub fn run_scenario(spec: CorpusSpec, oracles: &[Oracle]) -> ScenarioOutcome {
                 has_subquery: false,
                 has_cte: false,
                 failures: vec![("generate", panic_message(payload))],
+                skipped: 0,
             }
         }
     };
@@ -180,11 +196,12 @@ pub fn run_scenario(spec: CorpusSpec, oracles: &[Oracle]) -> ScenarioOutcome {
         has_subquery,
         has_cte,
         failures: Vec::new(),
+        skipped: 0,
     };
     for oracle in oracles {
         let result = catch_unwind(AssertUnwindSafe(|| oracle.run(&scenario, spec.seed)));
         match result {
-            Ok(Ok(())) => {}
+            Ok(Ok(skipped)) => outcome.skipped += skipped,
             Ok(Err(message)) => outcome.failures.push((oracle.name(), message)),
             Err(payload) => outcome
                 .failures
@@ -647,6 +664,82 @@ fn check_maintained(live: &mctsui_core::LiveLog, engine: &RuleEngine) -> Result<
     Ok(())
 }
 
+/// Work bound of one reference call in the express rung (derivations listed plus
+/// backtracking steps). Nearly every corpus state stays far below it; a state where
+/// nested `MULTI`/`OPT` nodes blow the enumeration up is skipped and counted instead.
+const EXPRESS_REFERENCE_WORK: u64 = 200_000;
+
+/// Oracle 8: the expressibility rung. On the initial and the saturated difftree, every
+/// one-edit successor of the initial tree, and every state of two seeded 200-step random
+/// walks, `Expressor::express` must return exactly the reference enumeration's first
+/// derivation of every query. Each group of states shares one `Expressor`, so its chart
+/// is warm across states the way the search uses it; the reference runs cold every time.
+fn oracle_express(scenario: &Scenario, seed: u64) -> Result<usize, String> {
+    use mctsui_difftree::derive::express_enumerating;
+    use mctsui_difftree::{DiffTree, Expressor};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let queries: Arc<[mctsui_sql::Ast]> = Arc::from(scenario.queries.clone());
+    let mut skipped = 0;
+    let mut compare = |expressor: &mut Expressor, tree: &DiffTree, label: &str| {
+        for (i, query) in queries.iter().enumerate() {
+            let chart = expressor.express(tree.root(), i);
+            match express_enumerating(tree.root(), query, EXPRESS_REFERENCE_WORK) {
+                None => skipped += 1,
+                Some(reference) if reference != chart => {
+                    return Err(format!(
+                        "{label}, query {i}: chart {chart:?} vs reference {reference:?}"
+                    ));
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
+    };
+
+    let engine = RuleEngine::default();
+    let initial = initial_difftree(&scenario.queries);
+    let mut expressor = Expressor::new(Arc::clone(&queries));
+    compare(&mut expressor, &initial, "initial")?;
+    compare(
+        &mut expressor,
+        &engine.saturate_forward(&initial, 100),
+        "saturated",
+    )?;
+    for app in engine.applicable(&initial) {
+        if let Some(succ) = engine.apply(&initial, &app) {
+            compare(
+                &mut expressor,
+                &succ,
+                &format!("successor via {:?}", app.rule),
+            )?;
+        }
+    }
+    for walk in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ (walk + 1).wrapping_mul(0x5DEE_CE66_D1CE_4E5B));
+        let mut expressor = Expressor::new(Arc::clone(&queries));
+        let mut tree = initial.clone();
+        for step in 0..200 {
+            let count = engine.count_applicable(&tree);
+            if count == 0 {
+                break;
+            }
+            let Some(next) = engine
+                .nth_applicable(&tree, rng.gen_range(0..count))
+                .and_then(|app| engine.apply(&tree, &app))
+            else {
+                return Err(format!(
+                    "walk {walk} step {step}: an applicable rule failed"
+                ));
+            };
+            tree = next;
+            compare(&mut expressor, &tree, &format!("walk {walk} step {step}"))?;
+        }
+    }
+    Ok(skipped)
+}
+
 /// Run the noisy rung for one `(spec, op)` pair, isolating panics — the unit of the
 /// `fuzzdiff --noise` sweep and of noisy (`family:seed:op`) regression replay.
 pub fn run_noise_scenario(spec: CorpusSpec, op: NoiseOp) -> ScenarioOutcome {
@@ -660,6 +753,7 @@ pub fn run_noise_scenario(spec: CorpusSpec, op: NoiseOp) -> ScenarioOutcome {
                 has_subquery: false,
                 has_cte: false,
                 failures: vec![("generate", panic_message(payload))],
+                skipped: 0,
             }
         }
     };
@@ -670,6 +764,7 @@ pub fn run_noise_scenario(spec: CorpusSpec, op: NoiseOp) -> ScenarioOutcome {
         has_subquery: log.sql.iter().any(|s| s.contains("(select")),
         has_cte: log.sql.iter().any(|s| s.starts_with("with ")),
         failures: Vec::new(),
+        skipped: 0,
     };
     let screen = Scenario::from_corpus(spec).screen;
     let result = catch_unwind(AssertUnwindSafe(|| {

@@ -292,6 +292,30 @@ mod tests {
     }
 
     #[test]
+    fn one_seed_searched_twice_reports_identical_work_counts() {
+        use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SliceBudget};
+
+        let run = || {
+            let problem = Arc::new(problem());
+            let config = MctsConfig {
+                budget: Budget::Iterations(60),
+                seed: 11,
+                ..MctsConfig::default()
+            };
+            let mut handle = SearchHandle::new(Arc::clone(&problem), config);
+            handle.run_for(SliceBudget::iterations(60));
+            problem.cache_stats()
+        };
+        let first = run();
+        assert!(first.chart_entries > 0 && first.chart_hits > 0);
+        assert_eq!(
+            first.cold_contexts, 0,
+            "a sequential search never runs cold"
+        );
+        assert_eq!(first, run());
+    }
+
+    #[test]
     fn best_sampled_assignment_is_never_worse_than_default() {
         let p = problem();
         let s0 = p.initial_state();

@@ -2,6 +2,7 @@
 //! compiled-skeleton fast path over slot assignments — plus the fingerprint-keyed
 //! [`ContextCache`] that makes state evaluation incremental across the search.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -41,10 +42,10 @@ impl QueryContext {
     /// Express every query in the difftree and precompute the per-transition changed-choice
     /// sets. Queries that are not expressible mark the context invalid.
     ///
-    /// This one-shot entry point uses a throwaway match memo (still shared across the
-    /// queries of the log); inside search loops prefer [`ContextCache`], whose memo persists
-    /// across states and turns the shared-subtree structure of persistent difftrees into
-    /// cache hits.
+    /// This one-shot entry point uses a throwaway expressibility chart (still shared
+    /// across the queries of the log); inside search loops prefer [`ContextCache`], whose
+    /// chart persists across states and turns the shared-subtree structure of persistent
+    /// difftrees into chart hits.
     pub fn compute(tree: &DiffTree, queries: &[Ast]) -> Self {
         Self::from_assignments(tree, queries.len(), express_log(tree.root(), queries))
     }
@@ -87,19 +88,41 @@ impl QueryContext {
     }
 }
 
-/// Cap on memoized match entries before the expressibility memo is dropped and rebuilt.
+/// Cap on expressibility chart entries before the chart is dropped and rebuilt.
 const MEMO_TRIM_THRESHOLD: usize = 1 << 21;
 
 /// Default capacity (resident per-state entries) of the context and plan caches.
 pub const CONTEXT_DEFAULT_CAPACITY: usize = 1 << 17;
 
-/// Counter snapshots of the two per-state caches (surfaced through serving stats).
+/// Counter snapshots of the two per-state caches and of the expressibility work behind
+/// them (surfaced through serving stats). For a sequential search the work counts repeat
+/// exactly, on any host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContextCacheStats {
     /// Counters of the per-state [`QueryContext`] cache.
     pub contexts: CacheCounters,
     /// Counters of the compiled [`EvalPlan`] cache.
     pub plans: CacheCounters,
+    /// Expressibility chart entries built, on the shared and on cold charts.
+    pub chart_entries: u64,
+    /// Expressibility chart lookups answered by an existing entry.
+    pub chart_hits: u64,
+    /// Contexts computed on a cold, throwaway chart because another thread had the shared
+    /// [`Expressor`] checked out.
+    pub cold_contexts: u64,
+}
+
+impl ContextCacheStats {
+    /// Field-wise sum (aggregates the caches of several problems).
+    pub fn merged(&self, other: &ContextCacheStats) -> ContextCacheStats {
+        ContextCacheStats {
+            contexts: self.contexts.merged(&other.contexts),
+            plans: self.plans.merged(&other.plans),
+            chart_entries: self.chart_entries + other.chart_entries,
+            chart_hits: self.chart_hits + other.chart_hits,
+            cold_contexts: self.cold_contexts + other.cold_contexts,
+        }
+    }
 }
 
 /// A shared, thread-safe cache of [`QueryContext`]s for one query log.
@@ -109,10 +132,10 @@ pub struct ContextCacheStats {
 /// 1. **Per state** — contexts are keyed by the difftree's cached structural fingerprint
 ///    (an O(1) lookup key on persistent trees), so re-visiting a state never re-expresses
 ///    the log.
-/// 2. **Across states** — the embedded [`Expressor`] memoizes subtree-versus-span match
-///    results. Applying a rule produces a tree sharing every subtree off the edited spine
-///    with its predecessor, so only transitions through the changed region are recomputed;
-///    the rest of the expressibility work is looked up.
+/// 2. **Across states** — the embedded [`Expressor`] charts which spans each subtree can
+///    consume. Applying a rule produces a tree sharing every subtree off the edited spine
+///    with its predecessor, so only chart entries through the changed region are
+///    computed; the rest is looked up, and one witness per query is built from it.
 ///
 /// Both per-state caches are bounded [`GenerationCache`]s (second-chance generational
 /// eviction), so a long-lived serving process keeps its live working set warm while cold
@@ -125,6 +148,10 @@ pub struct ContextCache {
     /// Compiled evaluation plans (layout skeleton + transition tables), keyed like
     /// `contexts` by the tree's structural fingerprint.
     plans: GenerationCache<Arc<EvalPlan>>,
+    /// Work counts reported by [`ContextCache::stats`] (see [`ContextCacheStats`]).
+    chart_entries: AtomicU64,
+    chart_hits: AtomicU64,
+    cold_contexts: AtomicU64,
 }
 
 impl ContextCache {
@@ -147,6 +174,9 @@ impl ContextCache {
             expressor: Mutex::new(Some(Expressor::new(queries))),
             contexts: GenerationCache::with_shards(capacity, shards),
             plans: GenerationCache::with_shards(capacity, shards),
+            chart_entries: AtomicU64::new(0),
+            chart_hits: AtomicU64::new(0),
+            cold_contexts: AtomicU64::new(0),
         }
     }
 
@@ -159,31 +189,41 @@ impl ContextCache {
     ///
     /// The lock is never held across the (potentially expensive) context computation:
     /// the shared expressor is checked out under the lock, used outside it, and returned.
-    /// If another worker has it checked out, this worker computes with a throwaway memo
+    /// If another worker has it checked out, this worker computes with a throwaway chart
     /// instead of blocking — concurrent evaluations stay parallel, merely forgoing the
-    /// cross-state memo for the overlapping computation.
+    /// cross-state chart for the overlapping computation (counted as a cold context).
     pub fn context_for(&self, tree: &DiffTree) -> Arc<QueryContext> {
         let key = tree.fingerprint();
         if let Some(ctx) = self.contexts.get(key) {
             return ctx;
         }
-        let mut checked_out = self
+        let checked_out = self
             .expressor
             .lock()
             .expect("context cache expressor poisoned")
             .take();
+        let shared = checked_out.is_some();
+        let mut expressor =
+            checked_out.unwrap_or_else(|| Expressor::new(Arc::clone(&self.queries)));
 
-        let ctx = Arc::new(match checked_out.as_mut() {
-            Some(expressor) => QueryContext::compute_with_expressor(tree, expressor),
-            None => QueryContext::compute(tree, &self.queries),
-        });
+        let before = expressor.work();
+        let ctx = Arc::new(QueryContext::compute_with_expressor(tree, &mut expressor));
+        let after = expressor.work();
+        self.chart_entries.fetch_add(
+            after.entries_built - before.entries_built,
+            Ordering::Relaxed,
+        );
+        self.chart_hits
+            .fetch_add(after.hits - before.hits, Ordering::Relaxed);
 
-        if let Some(mut expressor) = checked_out {
+        if shared {
             expressor.trim(MEMO_TRIM_THRESHOLD);
             *self
                 .expressor
                 .lock()
                 .expect("context cache expressor poisoned") = Some(expressor);
+        } else {
+            self.cold_contexts.fetch_add(1, Ordering::Relaxed);
         }
         // A concurrent worker may have computed the same state; keep the first entry.
         self.contexts.insert(key, ctx)
@@ -209,11 +249,15 @@ impl ContextCache {
         self.plans.insert(key, plan)
     }
 
-    /// Hit/miss/eviction counters of the context and plan caches (for serving stats).
+    /// Hit/miss/eviction counters of the context and plan caches and the expressibility
+    /// work counts (for serving stats).
     pub fn stats(&self) -> ContextCacheStats {
         ContextCacheStats {
             contexts: self.contexts.counters(),
             plans: self.plans.counters(),
+            chart_entries: self.chart_entries.load(Ordering::Relaxed),
+            chart_hits: self.chart_hits.load(Ordering::Relaxed),
+            cold_contexts: self.cold_contexts.load(Ordering::Relaxed),
         }
     }
 
@@ -784,6 +828,30 @@ mod tests {
         assert!(stats.contexts.hits > 0);
         assert!(stats.contexts.misses > 0);
         assert!(stats.contexts.insertions > 0);
+    }
+
+    #[test]
+    fn contexts_computed_while_the_expressor_is_checked_out_are_counted_cold() {
+        let qs = queries();
+        let cache = ContextCache::new(qs.clone().into());
+        let initial = initial_difftree(&qs);
+        let factored = factored_tree(&qs);
+
+        // Another worker holds the shared expressor.
+        let held = cache.expressor.lock().unwrap().take();
+        assert!(held.is_some());
+        let cold = cache.context_for(&initial);
+        assert_eq!(*cold, QueryContext::compute(&initial, &qs));
+        let stats = cache.stats();
+        assert_eq!(stats.cold_contexts, 1);
+        assert!(stats.chart_entries > 0, "a cold chart still builds entries");
+
+        // Returned, the shared expressor serves the next state warm.
+        *cache.expressor.lock().unwrap() = held;
+        cache.context_for(&factored);
+        let after = cache.stats();
+        assert_eq!(after.cold_contexts, 1);
+        assert!(after.chart_entries > stats.chart_entries);
     }
 
     #[test]

@@ -3,9 +3,43 @@
 //! A concrete query is *expressed* by a difftree through a [`ChoiceAssignment`]: the
 //! selection made at every choice node (which alternative of an `Any`, whether an `Opt` is
 //! included, how many repetitions of a `Multi` and the choices inside each). Deriving with an
-//! assignment produces an AST; [`express`] searches for an assignment that derives a given
-//! query. The interface's usability cost needs to know *which* widgets a user must touch to
-//! go from one query to the next — [`changed_choice_paths`] computes exactly that set.
+//! assignment produces an AST; [`express`] finds an assignment that derives a given query.
+//! The interface's usability cost needs to know *which* widgets a user must touch to go
+//! from one query to the next — [`changed_choice_paths`] computes exactly that set.
+//!
+//! # Expressibility as a chart
+//!
+//! A difftree with nested `MULTI`/`OPT` nodes can derive one span of target ASTs in
+//! exponentially many ways, so [`express`] never lists them. It works in two phases:
+//!
+//! 1. **Chart.** For each (node, target span) pair it visits, the chart keeps only the
+//!    distinct numbers of targets the node can consume — at most span length + 1 integers
+//!    — once in the order in which a list of every derivation would first produce them and
+//!    once in the order it would last produce them.
+//! 2. **Witness.** From the chart, one [`ChoiceAssignment`] per (state, query) is built:
+//!    the first derivation of the whole query in that list.
+//!
+//! The list and its order are those of the reference matcher [`express_enumerating`]:
+//! `Any` lists its alternatives in order, `Opt` the absent case first, `All` backtracks
+//! lexicographically over its children's splits, and `Multi` extends partial repetitions
+//! from a last-in-first-out stack. Per kind the chart follows these rules (`E` is a
+//! `Multi` child's positive counts over the span `s` of length `n`):
+//!
+//! * `All` — counts as the reference; the child split is decided lazily in backtracking
+//!   order, each child trying its counts in first-occurrence order. Witness: each child's
+//!   first witness at its chosen count.
+//! * `Any` — the alternatives' count lists concatenated in order. Witness of `c`: the
+//!   first (last) alternative holding `c`, with its first (last) witness.
+//! * `Opt` — `0`, then the child's positive counts. Witness: absent at `0`, otherwise the
+//!   child's witness of the same kind.
+//! * `Multi` — first order: `0`, `E` in first order, then for each `d < n` of `E`'s last
+//!   order read from its end, this node's first order at `s[d..]` shifted by `d`. Last
+//!   order: the mirror image, built from the back. First witness of `c > 0`: the child's
+//!   first witness at `c` if `c` is in `E`; otherwise the child's *last* witness at the
+//!   latest `d` of `E`'s last order for which this node consumes `c - d` of `s[d..]`,
+//!   followed by the first repetitions there. Last witness: the child's *first* witness at
+//!   the earliest such `d` of `E`'s first order, followed by the last repetitions there —
+//!   or, without one, the child's last witness at `c`.
 
 use std::sync::Arc;
 
@@ -62,14 +96,10 @@ pub fn healthy_queries(entries: &[LogEntry]) -> Vec<Ast> {
 /// matched, healthy entries yield their assignment (or `None` when inexpressible), exactly
 /// mirroring [`express_log`] over the healthy subsequence.
 pub fn express_entries(node: &DiffNode, entries: &[LogEntry]) -> Vec<Option<ChoiceAssignment>> {
-    let mut memo = ExpressMemo::default();
+    let mut chart = Chart::default();
     entries
         .iter()
-        .map(|entry| {
-            entry
-                .ast()
-                .and_then(|q| express_with_memo(node, q, &mut memo))
-        })
+        .map(|entry| entry.ast().and_then(|q| chart.express(node, q)))
         .collect()
 }
 
@@ -164,51 +194,400 @@ pub fn derive_query(node: &DiffNode, assignment: &ChoiceAssignment) -> Option<As
     }
 }
 
-/// Memo table for expressibility matching.
+/// Chart key: (node fingerprint, target-span address, target-span length).
+type ChartKey = (u64, usize, usize);
+
+/// One chart entry: the distinct numbers of targets a node can consume from a span,
+/// `[..len / 2]` in first-occurrence order and `[len / 2..]` the same counts in
+/// last-occurrence order (occurrence in the order [`express_enumerating`] lists
+/// derivations). At most span length + 1 counts each, in one allocation.
+type Counts = Arc<[u32]>;
+
+fn first_order(counts: &[u32]) -> &[u32] {
+    &counts[..counts.len() / 2]
+}
+
+fn last_order(counts: &[u32]) -> &[u32] {
+    &counts[counts.len() / 2..]
+}
+
+fn holds(counts: &[u32], consumed: u32) -> bool {
+    first_order(counts).contains(&consumed)
+}
+
+/// Which derivation of a count a witness reproduces: the first or the last one the
+/// reference enumeration lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Occurrence {
+    First,
+    Last,
+}
+
+/// Cumulative work counts of an [`Expressor`]'s chart. They repeat exactly for a given
+/// search, and they keep counting across [`Expressor::trim`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChartWork {
+    /// Chart entries computed.
+    pub entries_built: u64,
+    /// Chart lookups answered by an existing entry (fill and witness phases alike).
+    pub hits: u64,
+}
+
+/// The expressibility chart: for every (node, target span) pair it has visited, the
+/// distinct numbers of targets the node can consume ([`Counts`]), never the derivations.
 ///
 /// Matching a difftree node against a span of target AST nodes is a pure function of the
 /// node's *structure* and the span's *contents*. Entries are keyed by the node's cached
-/// fingerprint plus the span's address and length, which makes the table reusable across
-/// search states: persistent trees share unedited subtrees, so after one `replace_at` every
-/// match result outside the edited spine is a cache hit. This is the incremental-maintenance
-/// payoff of the structurally shared representation.
+/// fingerprint plus the span's address and length, which makes the chart reusable across
+/// search states: persistent trees share unedited subtrees, so after one `replace_at`
+/// every entry outside the edited spine is a hit. An `All` node consumes nothing, zero or
+/// one target, so its entry is one of three shared ones, and it takes a key only when its
+/// label matches and its children must be split.
 ///
 /// The address-based key is only valid while the target ASTs stay alive and unmoved, which
-/// is why this type is crate-private: the safe ways to reuse a memo are [`Expressor`]
-/// (which owns and thereby pins its query log) and the call-scoped memos of [`express`],
-/// [`express_log`] and [`expresses_all`], which never outlive the target borrow.
-#[derive(Default)]
-pub(crate) struct ExpressMemo {
-    map: FxHashMap<MemoKey, Arc<MatchResults>>,
+/// is why this type is private: the safe ways to reuse a chart are [`Expressor`] (which
+/// owns and thereby pins its query log) and the call-scoped charts of [`express`],
+/// [`express_log`], [`expresses_all`] and [`express_entries`], which never outlive the
+/// target borrow.
+struct Chart {
+    entries: FxHashMap<ChartKey, Counts>,
+    /// The shared entries of a pair that consumes nothing, exactly zero or exactly one
+    /// target.
+    none: Counts,
+    zero: Counts,
+    one: Counts,
+    work: ChartWork,
 }
 
-/// Memo key: (node fingerprint, target-span address, target-span length).
-type MemoKey = (u64, usize, usize);
+impl Default for Chart {
+    fn default() -> Self {
+        Self {
+            entries: FxHashMap::default(),
+            none: Arc::from([]),
+            zero: Arc::from([0, 0]),
+            one: Arc::from([1, 1]),
+            work: ChartWork::default(),
+        }
+    }
+}
 
-/// All the ways one node matches one span: (consumed targets, assignment) pairs.
-type MatchResults = Vec<(usize, ChoiceAssignment)>;
-
-impl ExpressMemo {
-    /// Number of memoized (node, span) entries.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
+impl Chart {
+    /// Number of charted (node, span) entries.
+    fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Drop all entries.
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
+    /// Drop all entries (the work counts keep counting).
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The first derivation of `query` by `node` in reference order, if any.
+    fn express(&mut self, node: &DiffNode, query: &Ast) -> Option<ChoiceAssignment> {
+        let targets = std::slice::from_ref(query);
+        holds(&self.counts(node, targets), 1)
+            .then(|| self.witness(node, targets, 1, Occurrence::First))
+    }
+
+    /// The chart entry of `node` over `targets`, computed on a miss.
+    fn counts(&mut self, node: &DiffNode, targets: &[Ast]) -> Counts {
+        if node.kind() == DiffKind::All {
+            // Decided in O(1) unless the label matches a target and there are children to
+            // split; only that case is charted.
+            let Some(label) = node.label() else {
+                return Arc::clone(&self.none);
+            };
+            if label.is_empty() {
+                return Arc::clone(&self.zero);
+            }
+            let Some(first) = targets.first() else {
+                return Arc::clone(&self.none);
+            };
+            if first.kind() != label.kind || first.value() != label.value.as_ref() {
+                return Arc::clone(&self.none);
+            }
+            if node.children().is_empty() {
+                return Arc::clone(if first.children().is_empty() {
+                    &self.one
+                } else {
+                    &self.none
+                });
+            }
+        }
+        let key = (node.fingerprint(), targets.as_ptr() as usize, targets.len());
+        if let Some(hit) = self.entries.get(&key) {
+            self.work.hits += 1;
+            return Arc::clone(hit);
+        }
+        let computed = self.counts_uncached(node, targets);
+        self.work.entries_built += 1;
+        self.entries.insert(key, Arc::clone(&computed));
+        computed
+    }
+
+    fn counts_uncached(&mut self, node: &DiffNode, targets: &[Ast]) -> Counts {
+        let n = targets.len();
+        let entry = match node.kind() {
+            // Reached only with a label matching `targets[0]` and children to split (see
+            // `counts`): the children must consume exactly the target's children.
+            DiffKind::All => {
+                let splits = self
+                    .split_children(node.children(), targets[0].children())
+                    .is_some();
+                return Arc::clone(if splits { &self.one } else { &self.none });
+            }
+            // The alternatives' lists, concatenated in alternative order.
+            DiffKind::Any => {
+                let alternatives: Vec<Counts> = node
+                    .children()
+                    .iter()
+                    .map(|alternative| self.counts(alternative, targets))
+                    .collect();
+                let mut entry = PendingEntry::new(n);
+                for alternative in &alternatives {
+                    entry.offer_all(first_order(alternative));
+                }
+                entry.begin_last();
+                for alternative in alternatives.iter().rev() {
+                    entry.offer_all(last_order(alternative).iter().rev());
+                }
+                entry
+            }
+            // `0` (absent), then the child's positive counts.
+            DiffKind::Opt => {
+                let child = match node.children().first() {
+                    Some(child) => self.counts(child, targets),
+                    None => Arc::clone(&self.none),
+                };
+                let mut entry = PendingEntry::new(n);
+                entry.offer(0);
+                entry.offer_all(first_order(&child).iter().filter(|&&c| c > 0));
+                entry.begin_last();
+                entry.offer_all(last_order(&child).iter().rev().filter(|&&c| c > 0));
+                entry.offer(0);
+                entry
+            }
+            // The reference emits `0`, then every positive derivation of the first
+            // repetition (`E`), and then expands its stack of partial repetitions last
+            // pushed first: after a first repetition consuming `d`, this node again over
+            // `targets[d..]`, shifted by `d`.
+            DiffKind::Multi => {
+                let Some(child) = node.children().first() else {
+                    return Arc::clone(&self.zero);
+                };
+                let reps = self.counts(child, targets);
+                let continued = |d: u32| d > 0 && (d as usize) < n;
+                let mut entry = PendingEntry::new(n);
+                entry.offer(0);
+                entry.offer_all(first_order(&reps).iter().filter(|&&d| d > 0));
+                for &d in last_order(&reps).iter().rev().filter(|&&d| continued(d)) {
+                    let rest = self.counts(node, &targets[d as usize..]);
+                    entry.offer_all(first_order(&rest).iter().map(|c| d + c));
+                }
+                entry.begin_last();
+                for &d in first_order(&reps).iter().filter(|&&d| continued(d)) {
+                    let rest = self.counts(node, &targets[d as usize..]);
+                    let positive = last_order(&rest).iter().rev().filter(|&&c| c > 0);
+                    entry.offer_all(positive.map(|c| d + c));
+                }
+                entry.offer_all(last_order(&reps).iter().rev().filter(|&&d| d > 0));
+                entry.offer(0);
+                entry
+            }
+        };
+        entry.finish()
+    }
+
+    /// How many targets each of `children` consumes when together they consume exactly
+    /// `targets`, decided the way the reference backtracks: child `i` tries its counts in
+    /// first-occurrence order, and the first choice that lets the rest succeed wins.
+    /// Failed (child, offset) pairs are remembered for the call, so this is polynomial.
+    fn split_children(&mut self, children: &[DiffNode], targets: &[Ast]) -> Option<Vec<u32>> {
+        let mut failed = vec![false; children.len() * (targets.len() + 1)];
+        let mut split = Vec::with_capacity(children.len());
+        self.split_from(children, targets, 0, &mut split, &mut failed)
+            .then_some(split)
+    }
+
+    fn split_from(
+        &mut self,
+        children: &[DiffNode],
+        targets: &[Ast],
+        offset: usize,
+        split: &mut Vec<u32>,
+        failed: &mut [bool],
+    ) -> bool {
+        let i = split.len();
+        let Some(child) = children.get(i) else {
+            return offset == targets.len();
+        };
+        let slot = i * (targets.len() + 1) + offset;
+        if failed[slot] {
+            return false;
+        }
+        let counts = self.counts(child, &targets[offset..]);
+        for &c in first_order(&counts) {
+            split.push(c);
+            if self.split_from(children, targets, offset + c as usize, split, failed) {
+                return true;
+            }
+            split.pop();
+        }
+        failed[slot] = true;
+        false
+    }
+
+    /// The first or last derivation, in reference order, of `node` consuming exactly
+    /// `consumed` of `targets`. `consumed` must be in the node's chart entry.
+    fn witness(
+        &mut self,
+        node: &DiffNode,
+        targets: &[Ast],
+        consumed: u32,
+        which: Occurrence,
+    ) -> ChoiceAssignment {
+        match node.kind() {
+            DiffKind::All => {
+                // The empty alternative; otherwise one derivation, so first == last.
+                if consumed == 0 {
+                    return ChoiceAssignment::All(Vec::new());
+                }
+                let first = targets[0].children();
+                let split = self
+                    .split_children(node.children(), first)
+                    .expect("a charted All node splits its target's children");
+                let mut offset = 0;
+                let mut children = Vec::with_capacity(split.len());
+                for (child, c) in node.children().iter().zip(split) {
+                    children.push(self.witness(child, &first[offset..], c, Occurrence::First));
+                    offset += c as usize;
+                }
+                ChoiceAssignment::All(children)
+            }
+            DiffKind::Any => {
+                let alternatives = node.children();
+                let mut holding = (0..alternatives.len())
+                    .filter(|&i| holds(&self.counts(&alternatives[i], targets), consumed));
+                let pick = match which {
+                    Occurrence::First => holding.next(),
+                    Occurrence::Last => holding.next_back(),
+                }
+                .expect("a charted count has an alternative that holds it");
+                ChoiceAssignment::Any {
+                    pick,
+                    inner: Box::new(self.witness(&alternatives[pick], targets, consumed, which)),
+                }
+            }
+            DiffKind::Opt => ChoiceAssignment::Opt {
+                included: (consumed > 0)
+                    .then(|| Box::new(self.witness(&node.children()[0], targets, consumed, which))),
+            },
+            DiffKind::Multi => ChoiceAssignment::Multi {
+                reps: self.multi_reps(node, targets, consumed, which),
+            },
+        }
+    }
+
+    /// The repetitions of a `Multi` witness. A repetition consuming `d` can be followed by
+    /// more only when the node itself consumes the remaining `c - d` of `targets[d..]`; the
+    /// reference's stack visits the first repetitions in reverse for the first witness and
+    /// in order for the last.
+    fn multi_reps(
+        &mut self,
+        node: &DiffNode,
+        targets: &[Ast],
+        mut c: u32,
+        which: Occurrence,
+    ) -> Vec<ChoiceAssignment> {
+        let mut reps = Vec::new();
+        let mut offset = 0;
+        while c > 0 {
+            let child = &node.children()[0];
+            let span = &targets[offset..];
+            let firsts = self.counts(child, span);
+            let mut continues =
+                |d: u32| d > 0 && d < c && holds(&self.counts(node, &span[d as usize..]), c - d);
+            // The first witness continues from the child's last derivation of `d`, and the
+            // last witness from its first.
+            let split = match which {
+                Occurrence::First if first_order(&firsts).contains(&c) => None,
+                Occurrence::First => last_order(&firsts)
+                    .iter()
+                    .rev()
+                    .copied()
+                    .find(|&d| continues(d))
+                    .map(|d| (d, Occurrence::Last)),
+                Occurrence::Last => first_order(&firsts)
+                    .iter()
+                    .copied()
+                    .find(|&d| continues(d))
+                    .map(|d| (d, Occurrence::First)),
+            };
+            let Some((d, head)) = split else {
+                reps.push(self.witness(child, span, c, which));
+                break;
+            };
+            reps.push(self.witness(child, span, d, head));
+            offset += d as usize;
+            c -= d;
+        }
+        reps
+    }
+}
+
+/// Builds one chart entry: distinct counts offered in first-occurrence order, then, after
+/// [`PendingEntry::begin_last`], offered in last-occurrence order read backwards.
+struct PendingEntry {
+    counts: Vec<u32>,
+    seen: Vec<bool>,
+    split: usize,
+}
+
+impl PendingEntry {
+    fn new(span: usize) -> Self {
+        Self {
+            counts: Vec::with_capacity(2 * (span + 1)),
+            seen: vec![false; span + 1],
+            split: 0,
+        }
+    }
+
+    fn offer(&mut self, c: u32) {
+        let seen = &mut self.seen[c as usize];
+        if !*seen {
+            *seen = true;
+            self.counts.push(c);
+        }
+    }
+
+    fn offer_all(&mut self, counts: impl IntoIterator<Item = impl std::borrow::Borrow<u32>>) {
+        for c in counts {
+            self.offer(*c.borrow());
+        }
+    }
+
+    fn begin_last(&mut self) {
+        self.split = self.counts.len();
+        self.seen.fill(false);
+    }
+
+    fn finish(mut self) -> Counts {
+        debug_assert_eq!(self.counts.len(), 2 * self.split);
+        self.counts[self.split..].reverse();
+        Arc::from(self.counts)
     }
 }
 
 /// A reusable expressibility engine bound to one query log.
 ///
 /// Owning the log (`Arc<[Ast]>`) pins the target ASTs in memory, which makes the
-/// address-keyed [`ExpressMemo`] sound for the whole lifetime of the `Expressor`. The cost
-/// layer keeps one of these per search problem so that expressing the log in state
-/// `T.replace_at(p, n)` reuses every match computed for the shared subtrees of `T`.
+/// address-keyed chart sound for the whole lifetime of the `Expressor`. The cost layer
+/// keeps one of these per search problem so that expressing the log in state
+/// `T.replace_at(p, n)` reuses every chart entry computed for the shared subtrees of `T`;
+/// only the witnesses are built per state.
 pub struct Expressor {
     queries: Arc<[Ast]>,
-    memo: ExpressMemo,
+    chart: Chart,
 }
 
 impl Expressor {
@@ -216,7 +595,7 @@ impl Expressor {
     pub fn new(queries: Arc<[Ast]>) -> Self {
         Self {
             queries,
-            memo: ExpressMemo::default(),
+            chart: Chart::default(),
         }
     }
 
@@ -225,182 +604,228 @@ impl Expressor {
         &self.queries
     }
 
-    /// Express the `index`-th query of the log in `node`, reusing memoized match results.
+    /// Express the `index`-th query of the log in `node`, reusing the chart.
     pub fn express(&mut self, node: &DiffNode, index: usize) -> Option<ChoiceAssignment> {
-        let Self { queries, memo } = self;
-        express_with_memo(node, &queries[index], memo)
+        self.chart.express(node, &self.queries[index])
     }
 
-    /// Clear the memo once it exceeds `max_entries` (a simple pressure valve for very long
-    /// search runs; the memo refills from the live working set).
+    /// Clear the chart once it exceeds `max_entries` (a simple pressure valve for very
+    /// long search runs; the chart refills from the live working set).
     pub fn trim(&mut self, max_entries: usize) {
-        if self.memo.len() > max_entries {
-            self.memo.clear();
+        if self.chart.len() > max_entries {
+            self.chart.clear();
         }
+    }
+
+    /// The chart's cumulative work counts.
+    pub fn work(&self) -> ChartWork {
+        self.chart.work
     }
 }
 
 /// Find a [`ChoiceAssignment`] under which `node` derives exactly the single AST `query`.
 ///
-/// Returns `None` when the difftree cannot express the query. Uses a throwaway memo; inside
-/// evaluation loops prefer [`Expressor`], whose memo persists across states.
+/// Returns `None` when the difftree cannot express the query; otherwise the first
+/// derivation [`express_enumerating`] would list. Uses a throwaway chart; inside
+/// evaluation loops prefer [`Expressor`], whose chart persists across states.
 pub fn express(node: &DiffNode, query: &Ast) -> Option<ChoiceAssignment> {
-    express_with_memo(node, query, &mut ExpressMemo::default())
+    Chart::default().express(node, query)
 }
 
-/// Express every query of a log against `node`, sharing one call-scoped memo across the
-/// queries (safe: the memo cannot outlive the borrow of `queries`).
+/// Express every query of a log against `node`, sharing one call-scoped chart across the
+/// queries (safe: the chart cannot outlive the borrow of `queries`).
 pub fn express_log(node: &DiffNode, queries: &[Ast]) -> Vec<Option<ChoiceAssignment>> {
-    let mut memo = ExpressMemo::default();
-    queries
-        .iter()
-        .map(|q| express_with_memo(node, q, &mut memo))
-        .collect()
-}
-
-/// [`express`] against a caller-provided memo.
-///
-/// Crate-private: the memo may only be reused across calls while every previously matched
-/// target AST is still alive and unmoved (see [`ExpressMemo`]); [`Expressor`] packages that
-/// guarantee for external callers.
-fn express_with_memo(
-    node: &DiffNode,
-    query: &Ast,
-    memo: &mut ExpressMemo,
-) -> Option<ChoiceAssignment> {
-    let targets = std::slice::from_ref(query);
-    for (consumed, assignment) in match_node(node, targets, memo).iter() {
-        if *consumed == targets.len() {
-            return Some(assignment.clone());
-        }
-    }
-    None
+    let mut chart = Chart::default();
+    queries.iter().map(|q| chart.express(node, q)).collect()
 }
 
 /// True if `node` expresses every query in `queries`.
 pub fn expresses_all(node: &DiffNode, queries: &[Ast]) -> bool {
-    let mut memo = ExpressMemo::default();
-    queries
+    let mut chart = Chart::default();
+    queries.iter().all(|q| chart.express(node, q).is_some())
+}
+
+/// All the ways one node matches one span: (consumed targets, assignment) pairs.
+type MatchResults = Vec<(usize, ChoiceAssignment)>;
+
+/// Reference implementation of [`express`]: lists every derivation of every (subtree,
+/// span) pair it visits, with no chart, and returns the first that consumes the whole
+/// query. Its enumeration order defines which derivation [`express`] returns, and the
+/// chart path is tested against it (unit pins, a property test and the `express` rung
+/// of `fuzzdiff`). Nested `MULTI`/`OPT` nodes make it exponential, so it gives up with
+/// `None` after `max_work` steps (derivations listed plus backtracking steps); pass
+/// `u64::MAX` for no bound. `Some(None)` means the query is not expressible.
+pub fn express_enumerating(
+    node: &DiffNode,
+    query: &Ast,
+    max_work: u64,
+) -> Option<Option<ChoiceAssignment>> {
+    let mut enumeration = Enumeration {
+        memo: FxHashMap::default(),
+        work_left: max_work,
+    };
+    let targets = std::slice::from_ref(query);
+    let first = enumeration
+        .match_node(node, targets)
         .iter()
-        .all(|q| express_with_memo(node, q, &mut memo).is_some())
+        .find(|(consumed, _)| *consumed == targets.len())
+        .map(|(_, assignment)| assignment.clone());
+    (enumeration.work_left > 0).then_some(first)
 }
 
-/// Memoized entry point of the matcher.
-fn match_node(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo) -> Arc<MatchResults> {
-    let key = (node.fingerprint(), targets.as_ptr() as usize, targets.len());
-    if let Some(hit) = memo.map.get(&key) {
-        return Arc::clone(hit);
+/// The reference matcher's call-scoped state.
+struct Enumeration {
+    memo: FxHashMap<ChartKey, Arc<MatchResults>>,
+    work_left: u64,
+}
+
+impl Enumeration {
+    /// Count one step; false once the budget is spent.
+    fn spend(&mut self) -> bool {
+        self.work_left = self.work_left.saturating_sub(1);
+        self.work_left > 0
     }
-    let computed = Arc::new(match_node_uncached(node, targets, memo));
-    memo.map.insert(key, Arc::clone(&computed));
-    computed
-}
 
-/// All the ways `node` can derive a prefix of `targets`: pairs of (number of target nodes
-/// consumed, assignment). The list is small in practice; `Any` nodes contribute one entry per
-/// viable alternative.
-fn match_node_uncached(node: &DiffNode, targets: &[Ast], memo: &mut ExpressMemo) -> MatchResults {
-    match node.kind() {
-        DiffKind::All => {
-            let Some(label) = node.label() else {
-                return Vec::new();
-            };
-            if label.is_empty() {
-                return vec![(0, ChoiceAssignment::All(Vec::new()))];
-            }
-            let Some(first) = targets.first() else {
-                return Vec::new();
-            };
-            if first.kind() != label.kind || first.value() != label.value.as_ref() {
-                return Vec::new();
-            }
-            match match_children(node.children(), first.children(), memo) {
-                Some(child_assignments) => vec![(1, ChoiceAssignment::All(child_assignments))],
-                None => Vec::new(),
-            }
+    /// Memoized entry point of the matcher.
+    fn match_node(&mut self, node: &DiffNode, targets: &[Ast]) -> Arc<MatchResults> {
+        let key = (node.fingerprint(), targets.as_ptr() as usize, targets.len());
+        if let Some(hit) = self.memo.get(&key) {
+            return Arc::clone(hit);
         }
-        DiffKind::Any => {
-            let mut out = Vec::new();
-            for (i, child) in node.children().iter().enumerate() {
-                for (consumed, inner) in match_node(child, targets, memo).iter() {
-                    out.push((
-                        *consumed,
-                        ChoiceAssignment::Any {
-                            pick: i,
-                            inner: Box::new(inner.clone()),
-                        },
-                    ));
+        let computed = Arc::new(self.match_node_uncached(node, targets));
+        self.memo.insert(key, Arc::clone(&computed));
+        computed
+    }
+
+    /// All the ways `node` can derive a prefix of `targets`: pairs of (number of target
+    /// nodes consumed, assignment), in enumeration order.
+    fn match_node_uncached(&mut self, node: &DiffNode, targets: &[Ast]) -> MatchResults {
+        if self.work_left == 0 {
+            return Vec::new();
+        }
+        match node.kind() {
+            DiffKind::All => {
+                let Some(label) = node.label() else {
+                    return Vec::new();
+                };
+                if label.is_empty() {
+                    return vec![(0, ChoiceAssignment::All(Vec::new()))];
+                }
+                let Some(first) = targets.first() else {
+                    return Vec::new();
+                };
+                if first.kind() != label.kind || first.value() != label.value.as_ref() {
+                    return Vec::new();
+                }
+                match self.match_children(node.children(), first.children()) {
+                    Some(child_assignments) => {
+                        vec![(1, ChoiceAssignment::All(child_assignments))]
+                    }
+                    None => Vec::new(),
                 }
             }
-            out
-        }
-        DiffKind::Opt => {
-            let mut out = vec![(0, ChoiceAssignment::Opt { included: None })];
-            if let Some(child) = node.children().first() {
-                for (consumed, inner) in match_node(child, targets, memo).iter() {
-                    if *consumed > 0 {
+            DiffKind::Any => {
+                let mut out = Vec::new();
+                for (i, child) in node.children().iter().enumerate() {
+                    for (consumed, inner) in self.match_node(child, targets).iter() {
+                        if !self.spend() {
+                            return out;
+                        }
                         out.push((
                             *consumed,
-                            ChoiceAssignment::Opt {
-                                included: Some(Box::new(inner.clone())),
+                            ChoiceAssignment::Any {
+                                pick: i,
+                                inner: Box::new(inner.clone()),
                             },
                         ));
                     }
                 }
+                out
             }
-            out
-        }
-        DiffKind::Multi => {
-            // Zero or more repetitions; each repetition must consume at least one target node
-            // to guarantee termination.
-            let mut out = vec![(0, ChoiceAssignment::Multi { reps: Vec::new() })];
-            let Some(child) = node.children().first() else {
-                return out;
-            };
-            let mut frontier: Vec<(usize, Vec<ChoiceAssignment>)> = vec![(0, Vec::new())];
-            while let Some((consumed_so_far, reps)) = frontier.pop() {
-                for (consumed, rep) in match_node(child, &targets[consumed_so_far..], memo).iter() {
-                    if *consumed == 0 {
-                        continue;
-                    }
-                    let total = consumed_so_far + consumed;
-                    let mut new_reps = reps.clone();
-                    new_reps.push(rep.clone());
-                    out.push((
-                        total,
-                        ChoiceAssignment::Multi {
-                            reps: new_reps.clone(),
-                        },
-                    ));
-                    if total < targets.len() {
-                        frontier.push((total, new_reps));
+            DiffKind::Opt => {
+                let mut out = vec![(0, ChoiceAssignment::Opt { included: None })];
+                if let Some(child) = node.children().first() {
+                    for (consumed, inner) in self.match_node(child, targets).iter() {
+                        if !self.spend() {
+                            return out;
+                        }
+                        if *consumed > 0 {
+                            out.push((
+                                *consumed,
+                                ChoiceAssignment::Opt {
+                                    included: Some(Box::new(inner.clone())),
+                                },
+                            ));
+                        }
                     }
                 }
+                out
             }
-            out
+            DiffKind::Multi => {
+                // Zero or more repetitions; each repetition must consume at least one
+                // target node to guarantee termination. Partial repetitions wait on a
+                // last-in-first-out stack.
+                let mut out = vec![(0, ChoiceAssignment::Multi { reps: Vec::new() })];
+                let Some(child) = node.children().first() else {
+                    return out;
+                };
+                let mut frontier: Vec<(usize, Vec<ChoiceAssignment>)> = vec![(0, Vec::new())];
+                while let Some((consumed_so_far, reps)) = frontier.pop() {
+                    for (consumed, rep) in
+                        self.match_node(child, &targets[consumed_so_far..]).iter()
+                    {
+                        if !self.spend() {
+                            return out;
+                        }
+                        if *consumed == 0 {
+                            continue;
+                        }
+                        let total = consumed_so_far + consumed;
+                        let mut new_reps = reps.clone();
+                        new_reps.push(rep.clone());
+                        out.push((
+                            total,
+                            ChoiceAssignment::Multi {
+                                reps: new_reps.clone(),
+                            },
+                        ));
+                        if total < targets.len() {
+                            frontier.push((total, new_reps));
+                        }
+                    }
+                }
+                out
+            }
         }
     }
-}
 
-/// Match a list of difftree children against a full AST child list (all targets must be
-/// consumed). Backtracks over the possible consumption splits.
-fn match_children(
-    children: &[DiffNode],
-    targets: &[Ast],
-    memo: &mut ExpressMemo,
-) -> Option<Vec<ChoiceAssignment>> {
-    fn rec(
+    /// Match a list of difftree children against a full AST child list (all targets must
+    /// be consumed). Backtracks over the possible consumption splits.
+    fn match_children(
+        &mut self,
+        children: &[DiffNode],
+        targets: &[Ast],
+    ) -> Option<Vec<ChoiceAssignment>> {
+        let mut acc = Vec::with_capacity(children.len());
+        self.match_children_rec(children, targets, &mut acc)
+            .then_some(acc)
+    }
+
+    fn match_children_rec(
+        &mut self,
         children: &[DiffNode],
         targets: &[Ast],
         acc: &mut Vec<ChoiceAssignment>,
-        memo: &mut ExpressMemo,
     ) -> bool {
         match children.split_first() {
             None => targets.is_empty(),
             Some((head, rest)) => {
-                for (consumed, assignment) in match_node(head, targets, memo).iter() {
+                for (consumed, assignment) in self.match_node(head, targets).iter() {
+                    if !self.spend() {
+                        return false;
+                    }
                     acc.push(assignment.clone());
-                    if rec(rest, &targets[*consumed..], acc, memo) {
+                    if self.match_children_rec(rest, &targets[*consumed..], acc) {
                         return true;
                     }
                     acc.pop();
@@ -409,8 +834,6 @@ fn match_children(
             }
         }
     }
-    let mut acc = Vec::with_capacity(children.len());
-    rec(children, targets, &mut acc, memo).then_some(acc)
 }
 
 /// The set of choice-node paths whose selections differ between two assignments over the same
@@ -498,6 +921,9 @@ mod tests {
     use super::*;
     use crate::node::Label;
     use mctsui_sql::parse_query;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn q(sql: &str) -> Ast {
         parse_query(sql).unwrap()
@@ -674,6 +1100,195 @@ mod tests {
         let direct = express_log(&root, &healthy);
         assert_eq!(slots[0], direct[0]);
         assert_eq!(slots[2], direct[1]);
+    }
+
+    /// `FROM` over `MULTI(ANY(a, a))`, and the `FROM` clause of `select x from a, …, a`
+    /// listing `tables` tables.
+    fn doubled_multi(tables: usize) -> (DiffNode, Ast) {
+        let query = q(&format!("select x from {}", vec!["a"; tables].join(", ")));
+        let from = query.children()[1].clone();
+        let table = DiffNode::from_ast(&from.children()[0]);
+        let node = DiffNode::all(
+            Label::of_ast(&from),
+            vec![DiffNode::multi(DiffNode::any(vec![table.clone(), table]))],
+        );
+        (node, from)
+    }
+
+    /// The `ANY` picks of each repetition of a `FROM(MULTI(ANY(..)))` assignment.
+    fn multi_picks(assignment: &ChoiceAssignment) -> Vec<usize> {
+        let ChoiceAssignment::All(children) = assignment else {
+            panic!("expected an All assignment, got {assignment:?}");
+        };
+        let [ChoiceAssignment::Multi { reps }] = &children[..] else {
+            panic!("expected one Multi child, got {children:?}");
+        };
+        reps.iter()
+            .map(|rep| match rep {
+                ChoiceAssignment::Any { pick, .. } => *pick,
+                other => panic!("expected an Any repetition, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_over_duplicate_alternatives_follows_the_stack_order() {
+        // The reference expands its last partial repetition first, so every repetition
+        // but the last takes the last alternative; a naive first-alternative walk would
+        // return [0, 0, 0].
+        for (tables, picks) in [(1, vec![0]), (2, vec![1, 0]), (3, vec![1, 1, 0])] {
+            let (node, from) = doubled_multi(tables);
+            let chart = express(&node, &from).expect("chart expresses the tables");
+            let reference = express_enumerating(&node, &from, u64::MAX)
+                .expect("unbounded")
+                .expect("reference expresses the tables");
+            assert_eq!(multi_picks(&chart), picks, "chart, {tables} tables");
+            assert_eq!(chart, reference, "{tables} tables");
+        }
+    }
+
+    #[test]
+    fn chart_stays_linear_where_the_enumeration_is_exponential() {
+        // The reference lists 2^k derivations of k tables here; the chart keeps one
+        // entry per (MULTI, suffix) and (ANY, suffix) pair plus the FROM node.
+        let tables = 40;
+        let (node, from) = doubled_multi(tables);
+        let mut chart = Chart::default();
+        let assignment = chart
+            .express(&node, &from)
+            .expect("chart expresses the tables");
+        let mut picks = vec![1; tables - 1];
+        picks.push(0);
+        assert_eq!(multi_picks(&assignment), picks);
+        assert_eq!(derive(&node, &assignment), Some(vec![from]));
+        assert!(
+            chart.len() <= 2 * tables + 1,
+            "{} chart entries for {tables} tables",
+            chart.len()
+        );
+    }
+
+    #[test]
+    fn enumeration_gives_up_past_its_work_bound() {
+        let (node, from) = doubled_multi(12);
+        assert_eq!(express_enumerating(&node, &from, 1_000), None);
+        assert!(express_enumerating(&node, &from, u64::MAX).is_some());
+        let foreign = q("select x from b").children()[1].clone();
+        assert_eq!(express_enumerating(&node, &foreign, u64::MAX), Some(None));
+    }
+
+    #[test]
+    fn chart_counts_its_work() {
+        let (node, from) = doubled_multi(3);
+        let mut expressor = Expressor::new(vec![from].into());
+        expressor.express(&node, 0).expect("expressible");
+        let cold = expressor.work();
+        assert!(cold.entries_built > 0);
+        expressor.express(&node, 0).expect("expressible");
+        let warm = expressor.work();
+        assert_eq!(
+            warm.entries_built, cold.entries_built,
+            "a warm chart builds nothing"
+        );
+        assert!(warm.hits > cold.hits);
+        expressor.trim(0);
+        assert_eq!(expressor.work(), warm, "trimming keeps the counts");
+    }
+
+    /// A random nesting of `ANY`/`OPT`/`MULTI`/empty nodes over the leaves `tables`.
+    fn random_nesting(rng: &mut StdRng, depth: usize, tables: &[DiffNode]) -> DiffNode {
+        if depth == 0 || rng.gen_bool(0.3) {
+            return match rng.gen_range(0..=tables.len()) {
+                0 => DiffNode::empty(),
+                i => tables[i - 1].clone(),
+            };
+        }
+        match rng.gen_range(0..3) {
+            0 => DiffNode::any(
+                (0..rng.gen_range(1..4))
+                    .map(|_| random_nesting(rng, depth - 1, tables))
+                    .collect(),
+            ),
+            1 => DiffNode::opt(random_nesting(rng, depth - 1, tables)),
+            _ => DiffNode::multi(random_nesting(rng, depth - 1, tables)),
+        }
+    }
+
+    /// Both orders of the chart entry and the first and last witness of every count,
+    /// against the reference's list of derivations.
+    fn check_against_enumeration(node: &DiffNode, targets: &[Ast]) -> Result<(), String> {
+        let listed = Enumeration {
+            memo: FxHashMap::default(),
+            work_left: u64::MAX,
+        }
+        .match_node(node, targets);
+        let mut first: Vec<u32> = Vec::new();
+        let mut last: Vec<u32> = Vec::new();
+        for (consumed, _) in listed.iter() {
+            let c = *consumed as u32;
+            if !first.contains(&c) {
+                first.push(c);
+            }
+            last.retain(|&x| x != c);
+            last.push(c);
+        }
+        let mut chart = Chart::default();
+        let counts = chart.counts(node, targets);
+        if first_order(&counts) != first || last_order(&counts) != last {
+            return Err(format!(
+                "counts {counts:?}, reference first {first:?} last {last:?}"
+            ));
+        }
+        for &c in &first {
+            let with_c = || {
+                listed
+                    .iter()
+                    .filter(|(consumed, _)| *consumed == c as usize)
+            };
+            for (which, reference) in [
+                (Occurrence::First, with_c().next()),
+                (Occurrence::Last, with_c().next_back()),
+            ] {
+                let witness = chart.witness(node, targets, c, which);
+                if Some(&witness) != reference.map(|(_, assignment)| assignment) {
+                    return Err(format!(
+                        "{which:?} witness of {c}: {witness:?} vs {reference:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random nestings under a `FROM` node against random table lists: the chart's
+        /// counts and witnesses equal the reference enumeration's, and so does `express`.
+        #[test]
+        fn chart_agrees_with_the_enumeration(
+            seed in any::<u64>(),
+            lists in proptest::collection::vec(proptest::collection::vec(0usize..2, 1..7), 4..5),
+        ) {
+            let names = ["a", "b"];
+            let clause = q("select x from a, b").children()[1].clone();
+            let tables: Vec<DiffNode> = clause.children().iter().map(DiffNode::from_ast).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let from = DiffNode::all(
+                Label::of_ast(&clause),
+                (0..rng.gen_range(1..4)).map(|_| random_nesting(&mut rng, 4, &tables)).collect(),
+            );
+            for list in &lists {
+                let sql = list.iter().map(|&t| names[t]).collect::<Vec<_>>().join(", ");
+                let target = q(&format!("select x from {sql}")).children()[1].clone();
+                for child in from.children() {
+                    check_against_enumeration(child, target.children())
+                        .map_err(|e| TestCaseError::fail(format!("{sql}: {e}")))?;
+                }
+                let reference = express_enumerating(&from, &target, u64::MAX).expect("unbounded");
+                prop_assert_eq!(express(&from, &target), reference);
+            }
+        }
     }
 
     #[test]

@@ -49,14 +49,14 @@
 //!   [`FaultPlan`] injects worker panics, evaluation failures/delays and in-queue
 //!   expiries at exact logical points, driving the chaos tests' quiescence invariants.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHashMap;
 
 use mctsui_core::{
     graft_append, InterfaceDescription, InterfaceSearchProblem, InterfaceSession, LiveLog,
@@ -606,6 +606,15 @@ struct Scheduler {
     leaves: VecDeque<EvalUnit>,
 }
 
+/// Registry key of a shared problem: the printed log plus the screen and sampling width
+/// the problem is built with.
+#[derive(PartialEq, Eq, Hash)]
+struct ProblemKey {
+    sql: Vec<String>,
+    screen: Screen,
+    assignments_per_eval: usize,
+}
+
 /// State shared between the public API, the scheduler workers and the connection threads.
 struct Shared {
     config: ServeConfig,
@@ -615,8 +624,9 @@ struct Shared {
     sessions: SessionTable,
     next_session: AtomicU64,
     /// Problems shared across sessions with the same (log, screen, k) — weak so closing
-    /// the last session of a log frees its caches.
-    problems: Mutex<FxHashMap<u64, Weak<InterfaceSearchProblem>>>,
+    /// the last session of a log frees its caches. The default hasher, because clients
+    /// choose the keys.
+    problems: Mutex<HashMap<ProblemKey, Weak<InterfaceSearchProblem>>>,
     sched: Mutex<Scheduler>,
     sched_cv: Condvar,
     shutdown: AtomicBool,
@@ -679,7 +689,7 @@ impl ServeEngine {
             started: Instant::now(),
             sessions: SessionTable::new(shards),
             next_session: AtomicU64::new(next_session),
-            problems: Mutex::new(FxHashMap::default()),
+            problems: Mutex::new(HashMap::new()),
             sched: Mutex::new(Scheduler {
                 work: VecDeque::new(),
                 leaves: VecDeque::new(),
@@ -992,8 +1002,9 @@ impl ServeEngine {
     /// record the log shape, release the lock and build the anytime answer outside it.
     ///
     /// `replaced` is the problem the edit swapped out, if any. It may hold the last
-    /// reference, and tearing a problem down (its caches and expressibility memo) can take
-    /// hundreds of milliseconds, so it is dropped only after the session lock is released.
+    /// reference, and tearing a problem down (its plan and context caches and its
+    /// expressibility chart) takes tens of milliseconds, so it is dropped only after the
+    /// session lock is released.
     fn finish_log_edit(
         &self,
         session: u64,
@@ -1245,31 +1256,31 @@ impl ServeEngine {
         };
         // Sum the per-log context caches over the live problems in the registry; the
         // per-shard vectors are summed element-wise (every problem cache has the same
-        // shard count, set by `config.shards`).
-        let mut context_cache = ContextCacheStats::default();
-        let mut plan_cache_shards: Vec<CacheCounters> = Vec::new();
-        {
+        // shard count, set by `config.shards`). The problems are upgraded under the
+        // registry lock but read and released after it: if a session drops its last
+        // reference meanwhile, the problem's teardown runs here, not under the lock.
+        let live: Vec<Arc<InterfaceSearchProblem>> = {
             let mut problems = self
                 .shared
                 .problems
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            problems.retain(|_, weak| weak.upgrade().is_some());
-            for weak in problems.values() {
-                if let Some(problem) = weak.upgrade() {
-                    let stats = problem.cache_stats();
-                    context_cache.contexts = context_cache.contexts.merged(&stats.contexts);
-                    context_cache.plans = context_cache.plans.merged(&stats.plans);
-                    let shards = problem.plan_shard_counters();
-                    if plan_cache_shards.len() < shards.len() {
-                        plan_cache_shards.resize(shards.len(), CacheCounters::default());
-                    }
-                    for (merged, shard) in plan_cache_shards.iter_mut().zip(shards) {
-                        *merged = merged.merged(&shard);
-                    }
-                }
+            problems.retain(|_, weak| weak.strong_count() > 0);
+            problems.values().filter_map(Weak::upgrade).collect()
+        };
+        let mut context_cache = ContextCacheStats::default();
+        let mut plan_cache_shards: Vec<CacheCounters> = Vec::new();
+        for problem in &live {
+            context_cache = context_cache.merged(&problem.cache_stats());
+            let shards = problem.plan_shard_counters();
+            if plan_cache_shards.len() < shards.len() {
+                plan_cache_shards.resize(shards.len(), CacheCounters::default());
+            }
+            for (merged, shard) in plan_cache_shards.iter_mut().zip(shards) {
+                *merged = merged.merged(&shard);
             }
         }
+        drop(live);
         let total_batches = self.shared.total_batches.load(Ordering::Relaxed);
         let total_batched_units = self.shared.total_batched_units.load(Ordering::Relaxed);
         let batch_group_hits = self.shared.batch_group_hits.load(Ordering::Relaxed);
@@ -1550,18 +1561,15 @@ impl ServeEngine {
     }
 
     /// The shared problem for a query log: sessions over the same (log, screen, sampling
-    /// width) reuse one problem — and its context/plan caches — through a weak registry.
+    /// width) reuse one problem — and its context/plan caches — through a weak registry
+    /// keyed by that content itself, so distinct logs never share a problem.
     fn problem_for(&self, queries: &[Ast]) -> Arc<InterfaceSearchProblem> {
-        use std::hash::{Hash, Hasher};
         let config = &self.shared.config;
-        let mut hasher = FxHasher::default();
-        for query in queries {
-            print_query(query).hash(&mut hasher);
-        }
-        config.screen.width.hash(&mut hasher);
-        config.screen.height.hash(&mut hasher);
-        config.assignments_per_eval.hash(&mut hasher);
-        let key = hasher.finish();
+        let key = ProblemKey {
+            sql: queries.iter().map(print_query).collect(),
+            screen: config.screen,
+            assignments_per_eval: config.assignments_per_eval,
+        };
 
         // Workspace lock discipline: probe under the lock, build outside it (difftree
         // construction for a large log is real work and must not serialize admission of
@@ -2142,5 +2150,33 @@ fn maintenance_loop(shared: &Shared) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_problem_registry_is_keyed_by_log_content() {
+        let engine = ServeEngine::start(ServeConfig::quick().with_threads(1));
+        let log = |sql: &[&str]| -> Vec<Ast> {
+            sql.iter()
+                .map(|q| parse_query(q).expect("test query parses"))
+                .collect()
+        };
+        let first = log(&["select a from t", "select b from t"]);
+        let second = log(&["select a from t", "select c from t"]);
+
+        let shared = engine.problem_for(&first);
+        assert!(Arc::ptr_eq(&shared, &engine.problem_for(&first.clone())));
+        let other = engine.problem_for(&second);
+        assert!(!Arc::ptr_eq(&shared, &other));
+        assert_eq!(other.queries(), &second[..]);
+
+        // Dropping the last reference frees the problem; stats prune its entry.
+        drop(other);
+        engine.stats();
+        assert_eq!(engine.shared.problems.lock().unwrap().len(), 1);
     }
 }
