@@ -19,11 +19,11 @@
 //!    session, asserting no panic anywhere, strict/lenient quarantine agreement per slot,
 //!    and that the degraded session generates bit-identically to the same session with
 //!    the noisy queries removed before submission.
-//! 7. **append** — the live-maintenance rung: the session replayed one append at a time
-//!    (corpus log + drift continuation + a seeded malformed splice) through the
-//!    incrementally maintained tree, checked bit-identical to a full `initial_difftree`
-//!    re-derive at every prefix and after seeded random retracts, plus one
-//!    search-from-final-state bit-identity check.
+//! 7. **append** — the live-log rung: the session (corpus log + drift continuation + a
+//!    seeded malformed splice) appended one query at a time and then shrunk by seeded
+//!    retracts, with the log checked equal to a fresh triage of its surviving sources
+//!    after every edit; then the serving engine (one worker, batch 1) is driven through
+//!    the same edits, each followed by a refine, against a raw handle rebased by hand.
 //! 8. **express** — the expressibility rung: `Expressor::express` (the chart, warm across
 //!    states) against the enumerating reference `express_enumerating` for every query, on
 //!    the initial and the saturated difftree, every one-edit successor of the initial
@@ -39,12 +39,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use mctsui_core::{InterfaceGenerator, InterfaceSearchProblem, TriagedLog};
+use mctsui_core::{graft_append, InterfaceGenerator, InterfaceSearchProblem, LiveLog};
 use mctsui_cost::{ContextCache, CostWeights, QueryContext};
 use mctsui_difftree::{initial_difftree, simplified_difftree, RuleEngine};
 use mctsui_mcts::{Budget, HandleSnapshot, SearchHandle, SliceBudget};
-use mctsui_serve::{ServeConfig, ServeEngine};
-use mctsui_sql::{parse_query, parse_query_lenient};
+use mctsui_serve::{BestReport, ServeConfig, ServeEngine};
+use mctsui_sql::{parse_query, parse_query_lenient, Ast};
 use mctsui_workload::{CorpusLog, CorpusSpec, NoiseOp, Scenario, SchemaFamily};
 
 use crate::{fast_generator_config, is5_legacy_reward_eval, is5_skeleton_reward_eval};
@@ -65,8 +65,8 @@ pub enum Oracle {
     /// Malformed-input parity: lenient-vs-strict front end on clean input, plus
     /// quarantined-session-vs-pre-cleaned-session generation under every noise op.
     Noise,
-    /// Live-maintenance parity: the append/retract-maintained tree against a full
-    /// `initial_difftree` re-derive at every log prefix and after seeded random retracts.
+    /// Live-log parity: appends and retracts against a fresh triage of the surviving
+    /// sources, and the engine's edit path against a raw handle rebased by hand.
     Append,
     /// Expressibility parity: the chart-backed `Expressor` against the enumerating
     /// reference matcher on every state of seeded rollout-like walks.
@@ -368,64 +368,79 @@ fn oracle_search(scenario: &Scenario, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 4: the serving engine at one worker / batch 1 must reproduce a raw handle over
-/// the identically configured problem bit-for-bit, through synthesize plus two refines.
-fn oracle_serve(scenario: &Scenario, seed: u64) -> Result<(), String> {
+/// The engine configuration the serve and append rungs drive: one worker and batch 1,
+/// under which a session's search stream is the sequential handle's.
+fn serve_config(scenario: &Scenario) -> ServeConfig {
     let mut config = ServeConfig::quick().with_threads(1).with_batch(1);
     config.screen = scenario.screen;
+    config
+}
 
-    let reference = {
-        let problem = Arc::new(InterfaceSearchProblem::new(
-            scenario.queries.clone(),
-            simplified_difftree(&scenario.queries),
-            RuleEngine::default(),
-            config.screen,
-            config.weights,
-            config.assignments_per_eval,
-        ));
-        let mut mcts = config.mcts.clone();
-        mcts.seed = seed;
-        mcts.budget = Budget::Iterations(usize::MAX);
-        let mut handle = SearchHandle::new(problem, mcts);
-        handle.run_for(SliceBudget::iterations(16));
-        for _ in 0..2 {
-            handle.run_for(SliceBudget::iterations(8));
-        }
-        handle
-    };
+/// The problem an engine under `config` builds for `queries`.
+fn serve_problem(queries: &[Ast], config: &ServeConfig) -> Arc<InterfaceSearchProblem> {
+    Arc::new(InterfaceSearchProblem::new(
+        queries.to_vec(),
+        simplified_difftree(queries),
+        RuleEngine::default(),
+        config.screen,
+        config.weights,
+        config.assignments_per_eval,
+    ))
+}
 
-    let engine = ServeEngine::start(config);
-    let opened = engine
-        .synthesize(scenario.queries.clone(), 16, 60_000, seed)
-        .map_err(|e| format!("synthesize failed: {e:?}"))?;
-    let mut last = None;
-    for _ in 0..2 {
-        last = Some(
-            engine
-                .refine(opened.session, 8, 60_000)
-                .map_err(|e| format!("refine failed: {e:?}"))?,
-        );
-    }
-    let last = last.expect("two refines ran");
+/// A raw handle that searches like an engine session opened on `queries` with `seed`.
+fn serve_handle(
+    queries: &[Ast],
+    config: &ServeConfig,
+    seed: u64,
+) -> SearchHandle<Arc<InterfaceSearchProblem>> {
+    let mut mcts = config.mcts.clone();
+    mcts.seed = seed;
+    mcts.budget = Budget::Iterations(usize::MAX);
+    SearchHandle::new(serve_problem(queries, config), mcts)
+}
 
-    if last.best.reward.to_bits() != reference.best_reward().to_bits()
-        || last.best.iterations != reference.iterations() as u64
-        || last.best.evaluations != reference.evaluations() as u64
-        || last.best.tree_nodes != reference.node_count() as u64
-    {
+/// An engine answer against the raw handle it must reproduce: reward bits, iteration and
+/// evaluation counts, and tree size.
+fn same_search(
+    best: &BestReport,
+    handle: &SearchHandle<Arc<InterfaceSearchProblem>>,
+) -> Result<(), String> {
+    let engine = (
+        best.reward.to_bits(),
+        best.iterations as usize,
+        best.evaluations as usize,
+        best.tree_nodes as usize,
+    );
+    if engine != handle_key(handle) {
         return Err(format!(
-            "engine (reward {}, it {}, ev {}, nodes {}) vs handle (reward {}, it {}, ev {}, nodes {})",
-            last.best.reward,
-            last.best.iterations,
-            last.best.evaluations,
-            last.best.tree_nodes,
-            reference.best_reward(),
-            reference.iterations(),
-            reference.evaluations(),
-            reference.node_count()
+            "engine {engine:?} vs handle {:?} (reward bits, iterations, evaluations, nodes)",
+            handle_key(handle)
         ));
     }
     Ok(())
+}
+
+/// Oracle 4: the serving engine at one worker / batch 1 must reproduce a raw handle over
+/// the identically configured problem bit-for-bit, through synthesize plus two refines.
+fn oracle_serve(scenario: &Scenario, seed: u64) -> Result<(), String> {
+    let config = serve_config(scenario);
+    let mut reference = serve_handle(&scenario.queries, &config, seed);
+    reference.run_for(SliceBudget::iterations(16));
+    for _ in 0..2 {
+        reference.run_for(SliceBudget::iterations(8));
+    }
+
+    let engine = ServeEngine::start(config);
+    let mut last = engine
+        .synthesize(scenario.queries.clone(), 16, 60_000, seed)
+        .map_err(|e| format!("synthesize failed: {e:?}"))?;
+    for _ in 0..2 {
+        last = engine
+            .refine(last.session, 8, 60_000)
+            .map_err(|e| format!("refine failed: {e:?}"))?;
+    }
+    same_search(&last.best, &reference)
 }
 
 /// Oracle 5: snapshotting mid-search, round-tripping the snapshot through JSON and
@@ -509,7 +524,7 @@ fn noise_check(
     seed: u64,
 ) -> Result<(), String> {
     let (noisy, mutated) = log.with_noise(op, seed);
-    let triaged = TriagedLog::from_sources(&noisy);
+    let triaged = LiveLog::from_sources(&noisy);
     let mut reference = Vec::new();
     for (i, (sql, entry)) in noisy.iter().zip(triaged.entries()).enumerate() {
         match parse_query(sql) {
@@ -538,7 +553,7 @@ fn noise_check(
         return Err("no healthy query survived (with_noise must keep one)".to_string());
     }
     let config = fast_generator_config(screen, 24, seed);
-    let degraded = InterfaceGenerator::from_triaged(&triaged, config.clone()).generate();
+    let degraded = InterfaceGenerator::new(triaged.healthy(), config.clone()).generate();
     let pre_cleaned = InterfaceGenerator::new(reference, config).generate();
     if degraded.difftree.fingerprint() != pre_cleaned.difftree.fingerprint()
         || degraded.assignment != pre_cleaned.assignment
@@ -553,16 +568,20 @@ fn noise_check(
     Ok(())
 }
 
-/// Oracle 7: the live-maintenance rung. The session is replayed one append at a time
-/// through [`LiveLog`](mctsui_core::LiveLog) — the corpus log, its drift continuation
-/// (what that synthetic analyst would ask next), and one seeded malformed splice — and at
-/// every prefix the maintained tree must be bit-identical to a full `initial_difftree`
-/// re-derive: same fingerprint, same applicable-action set, same expressibility memo. A
-/// burst of seeded random retracts then shrinks the log with the same invariant held at
-/// every step, and a search seeded from the final maintained tree must run bit-identically
-/// to one seeded from the re-derived tree.
+/// One edit of the append rung after its session is opened.
+enum LogEdit {
+    Append(String),
+    Retract(usize),
+}
+
+/// Oracle 7: the live-log rung. The session — the corpus log, its drift continuation (what
+/// that synthetic analyst would ask next) and one seeded malformed splice — is appended one
+/// query at a time to a [`LiveLog`], then shrunk by seeded random retracts, and after every
+/// edit the log must equal a fresh triage of its surviving sources: entries, healthy
+/// queries, diagnostics (with their shifted indices) and sources. The serving engine is
+/// then opened on the corpus log's share of the sources and driven through the remaining
+/// appends and the retracts ([`serve_edit_parity`]).
 fn oracle_append(scenario: &Scenario, seed: u64) -> Result<(), String> {
-    use mctsui_core::LiveLog;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -573,93 +592,133 @@ fn oracle_append(scenario: &Scenario, seed: u64) -> Result<(), String> {
         )
     })?;
     let (log, drift) = spec.generate_with_appends(3);
-    let mut sources: Vec<String> = log.sql.clone();
+    let opened = log.sql.len();
+    let mut sources: Vec<String> = log.sql;
     sources.extend(drift);
     // One malformed splice at a seeded position: a quarantined slot must occupy a log
-    // position without ever touching the maintained tree.
+    // position without ever reaching the search.
     let splice_at = (seed as usize) % (sources.len() + 1);
     sources.insert(splice_at, "SELEC ?? deliberately broken".to_string());
 
-    let engine = RuleEngine::default();
     let mut live = LiveLog::new();
+    let mut edits = Vec::new();
     for (i, source) in sources.iter().enumerate() {
         live.append_source(source);
-        check_maintained(&live, &engine).map_err(|e| format!("after append {i}: {e}"))?;
+        check_live_log(&live, &sources[..=i]).map_err(|e| format!("after append {i}: {e}"))?;
+        if i >= opened {
+            edits.push(LogEdit::Append(source.clone()));
+        }
     }
+    // The corpus log has at least 6 healthy queries, so 4 retracts never remove the last
+    // one (which the engine would refuse).
+    let mut surviving = sources.clone();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00AE_9D5C_0FFE_E15E);
     for step in 0..4 {
-        if live.is_empty() {
-            break;
-        }
         let index = rng.gen_range(0..live.len());
         live.retract(index)
             .map_err(|e| format!("retract step {step}: {e}"))?;
-        check_maintained(&live, &engine)
+        surviving.remove(index);
+        check_live_log(&live, &surviving)
             .map_err(|e| format!("after retract {step} (index {index}): {e}"))?;
+        edits.push(LogEdit::Retract(index));
     }
+    serve_edit_parity(scenario, seed, &sources[..opened], &edits)
+}
 
-    let healthy = live.healthy();
-    if healthy.is_empty() {
-        return Ok(());
-    }
-    let problem_over = |tree: mctsui_difftree::DiffTree| {
-        Arc::new(InterfaceSearchProblem::new(
-            healthy.clone(),
-            tree,
-            RuleEngine::default(),
-            scenario.screen,
-            CostWeights::default(),
-            2,
-        ))
-    };
-    let mut from_maintained = SearchHandle::new(
-        problem_over(live.difftree().clone()),
-        fuzz_mcts(scenario, seed),
-    );
-    from_maintained.run_for(SliceBudget::iterations(30));
-    let mut from_rederived = SearchHandle::new(
-        problem_over(initial_difftree(&healthy)),
-        fuzz_mcts(scenario, seed),
-    );
-    from_rederived.run_for(SliceBudget::iterations(30));
-    if handle_key(&from_maintained) != handle_key(&from_rederived) {
+/// A live log against a fresh triage of the sources that survived its edits.
+fn check_live_log(live: &LiveLog, surviving: &[String]) -> Result<(), String> {
+    let fresh = LiveLog::from_sources(surviving);
+    if live.entries() != fresh.entries()
+        || live.healthy() != fresh.healthy()
+        || live.diagnostics() != fresh.diagnostics()
+        || live.sources() != fresh.sources()
+    {
         return Err(format!(
-            "search from maintained tree {:?} vs re-derived tree {:?}",
-            handle_key(&from_maintained),
-            handle_key(&from_rederived)
+            "log ({} healthy, diagnostics {:?}) vs fresh triage ({} healthy, diagnostics {:?})",
+            live.healthy_len(),
+            live.diagnostics(),
+            fresh.healthy_len(),
+            fresh.diagnostics()
         ));
     }
     Ok(())
 }
 
-/// The maintained-vs-re-derive contract at one log state: tree fingerprint, applicable
-/// actions (index and scan both run over the maintained tree elsewhere — here the
-/// maintained and re-derived trees must yield the same set), and expressibility memo.
-fn check_maintained(live: &mctsui_core::LiveLog, engine: &RuleEngine) -> Result<(), String> {
-    use mctsui_difftree::derive::express_entries;
+/// The engine's edit path against a raw handle: an engine at one worker and batch 1 opens
+/// a session on `opened`, then applies `edits`, each followed by an 8-iteration refine.
+/// The reference handle moves across each edit by `rebase` onto the problem of the
+/// edited log's healthy queries, with the [`graft_append`] graft for a healthy append
+/// and the identity graft for a healthy retract. After every refine the search must match
+/// bit-for-bit ([`same_search`]), and the log's shape and diagnostics must match too.
+fn serve_edit_parity(
+    scenario: &Scenario,
+    seed: u64,
+    opened: &[String],
+    edits: &[LogEdit],
+) -> Result<(), String> {
+    let config = serve_config(scenario);
+    let mut log = LiveLog::from_sources(opened);
+    let mut reference = serve_handle(&log.healthy(), &config, seed);
+    reference.run_for(SliceBudget::iterations(16));
+    let engine = ServeEngine::start(config.clone());
+    let session = engine
+        .synthesize_triaged(&log, 16, 60_000, seed)
+        .map_err(|e| format!("synthesize failed: {e:?}"))?
+        .session;
+    for (step, edit) in edits.iter().enumerate() {
+        let rebased = match edit {
+            LogEdit::Append(source) => {
+                log.append_source(source);
+                let appended = log.entries().last().and_then(|entry| entry.ast()).cloned();
+                appended.map(|ast| {
+                    reference.rebase(serve_problem(&log.healthy(), &config), |state| {
+                        Some(graft_append(state, &ast))
+                    })
+                })
+            }
+            LogEdit::Retract(index) => {
+                let retracted = log
+                    .retract(*index)
+                    .map_err(|e| format!("step {step}: {e}"))?;
+                (!retracted.is_quarantined()).then(|| {
+                    reference.rebase(serve_problem(&log.healthy(), &config), |state| {
+                        Some(state.clone())
+                    })
+                })
+            }
+        };
+        rebased
+            .transpose()
+            .map_err(|e| format!("step {step}: reference rebase: {e}"))?;
+        let edited = match edit {
+            LogEdit::Append(source) => engine.append(session, source),
+            LogEdit::Retract(index) => engine.retract(session, *index as u64),
+        }
+        .map_err(|e| format!("step {step}: edit failed: {e:?}"))?;
+        reference.run_for(SliceBudget::iterations(8));
+        let refined = engine
+            .refine(session, 8, 60_000)
+            .map_err(|e| format!("step {step}: refine failed: {e:?}"))?;
+        same_search(&refined.best, &reference).map_err(|e| format!("step {step}: {e}"))?;
 
-    let healthy = live.healthy();
-    let reference = initial_difftree(&healthy);
-    if live.difftree().fingerprint() != reference.fingerprint() {
-        return Err(format!(
-            "maintained fingerprint {:#x} vs re-derive {:#x} ({} healthy, {} quarantined)",
-            live.difftree().fingerprint(),
-            reference.fingerprint(),
-            live.healthy_len(),
-            live.quarantined_len()
-        ));
-    }
-    let maintained_actions = engine.applicable(live.difftree());
-    let rederived_actions = engine.applicable(&reference);
-    if maintained_actions != rederived_actions {
-        return Err(format!(
-            "maintained tree has {} applicable actions, re-derive {}",
-            maintained_actions.len(),
-            rederived_actions.len()
-        ));
-    }
-    if live.maintained().assignments() != express_entries(live.difftree().root(), live.entries()) {
-        return Err("maintained expressibility memo diverged from express_entries".to_string());
+        let engine_log = (
+            [edited.log_len, edited.healthy_len, edited.quarantined_len],
+            (refined.diagnostics.into_iter())
+                .map(|d| (d.index, d.offset, d.message))
+                .collect::<Vec<_>>(),
+        );
+        let reference_log = (
+            [log.len(), log.healthy_len(), log.quarantined_len()].map(|n| n as u64),
+            (log.diagnostics().into_iter())
+                .map(|d| (d.index as u64, d.offset as u64, d.message))
+                .collect::<Vec<_>>(),
+        );
+        if engine_log != reference_log {
+            return Err(format!(
+                "step {step}: engine log {engine_log:?} vs {reference_log:?} \
+                 (lengths, diagnostics)"
+            ));
+        }
     }
     Ok(())
 }

@@ -1,18 +1,15 @@
-//! Property-based tests of live log maintenance over the generated scenario corpus.
+//! Property-based tests of live log edits over the generated scenario corpus.
 //!
-//! The incremental-maintenance contract, stated as a property: for every corpus family —
-//! including noisy logs whose malformed queries quarantine as `Opaque` entries — **any**
-//! interleaving of appends and retracts leaves the maintained difftree bit-identical to
-//! `initial_difftree` of the final log, with the expressibility memo matching a from-scratch
-//! `express_entries` pass and the rule engine seeing the same applicable actions. The fuzz
-//! ladder's append oracle checks seeded instances of this; these tests walk random
-//! interleavings the sweep never enumerates.
+//! The edit contract, stated as a property: for every corpus family — including noisy logs
+//! whose malformed queries quarantine as `Opaque` entries — **any** interleaving of appends
+//! and retracts leaves the log equal, after every step, to a fresh triage of the sources
+//! that survived: the same entries, healthy queries, diagnostics (with their shifted
+//! indices) and sources. The fuzz ladder's append oracle checks seeded instances of this;
+//! these tests walk random interleavings the sweep never enumerates.
 
 use proptest::prelude::*;
 
 use mctsui_core::LiveLog;
-use mctsui_difftree::derive::express_entries;
-use mctsui_difftree::{initial_difftree, RuleEngine};
 use mctsui_workload::corpus::{CorpusSpec, NoiseOp, SchemaFamily};
 
 /// One step of an interleaving plan: `append` picks the next pooled source, otherwise the
@@ -58,87 +55,60 @@ fn source_pool(spec: CorpusSpec, noise: Option<NoiseOp>) -> Vec<String> {
     pool
 }
 
-/// Walk the plan over a fresh [`LiveLog`], mirroring the surviving sources, and return
-/// `(live, mirror)`. Appends cycle through the pool; retracts reduce modulo the current
-/// length and are skipped while the log is empty.
-fn run_plan(pool: &[String], plan: &[Step]) -> (LiveLog, Vec<String>) {
+/// Walk the plan over a fresh [`LiveLog`], mirroring the surviving raw sources, and check
+/// the log against a fresh triage of the mirror after every step. Appends cycle through
+/// the pool; retracts reduce modulo the current length and are skipped while the log is
+/// empty. Returns the final `(live, mirror)` or the first step that diverged.
+fn run_plan(pool: &[String], plan: &[Step]) -> Result<(LiveLog, Vec<String>), String> {
     let mut live = LiveLog::new();
     let mut mirror: Vec<String> = Vec::new();
     let mut next = 0usize;
-    for &(append, raw) in plan {
+    for (step, &(append, raw)) in plan.iter().enumerate() {
         if append {
             let source = &pool[next % pool.len()];
             next += 1;
             live.append_source(source);
-            // `sources()` reports canonical SQL for healthy entries, raw text for
-            // quarantined ones — mirror whatever the log itself reports for the tail.
-            mirror.push(live.sources().pop().expect("just appended"));
+            mirror.push(source.clone());
         } else if !live.is_empty() {
             let index = raw % live.len();
             live.retract(index).expect("in-bounds retract");
             mirror.remove(index);
         }
+        let reference = LiveLog::from_sources(&mirror);
+        if live.entries() != reference.entries()
+            || live.healthy() != reference.healthy()
+            || live.diagnostics() != reference.diagnostics()
+            || live.sources() != reference.sources()
+        {
+            return Err(format!(
+                "step {step} ({}): log diverged from a fresh triage of its sources",
+                if append { "append" } else { "retract" }
+            ));
+        }
     }
-    (live, mirror)
+    Ok((live, mirror))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn any_interleaving_matches_rederivation_of_the_final_log(
+    fn any_interleaving_matches_a_fresh_triage_after_every_step(
         spec in spec(),
         noise in noise(),
         plan in plan(),
     ) {
         let pool = source_pool(spec, noise);
-        let (live, mirror) = run_plan(&pool, &plan);
-        let label = spec.scenario_name();
+        let outcome = run_plan(&pool, &plan);
+        prop_assert!(outcome.is_ok(), "{}: {}", spec.scenario_name(), outcome.unwrap_err());
 
-        prop_assert!(live.sources() == mirror, "{}: surviving sources diverged", label);
-
-        // Tree equivalence: the maintained tree is bit-identical to deriving from scratch
-        // over the final healthy log, and the rule engine cannot tell them apart.
-        let reference = initial_difftree(&live.healthy());
+        // The snapshot format round-trips: re-triaging the log's own sources (canonical
+        // SQL for healthy entries) rebuilds the same log.
+        let (live, _) = outcome.unwrap();
         prop_assert!(
-            live.difftree().fingerprint() == reference.fingerprint(),
-            "{}: maintained tree != re-derived tree after {} steps ({} healthy, {} quarantined)",
-            label,
-            plan.len(),
-            live.healthy_len(),
-            live.quarantined_len()
-        );
-        let engine = RuleEngine::default();
-        prop_assert!(
-            engine.applicable(live.difftree()) == engine.applicable(&reference),
-            "{}: applicable actions diverged",
-            label
-        );
-
-        // Memo equivalence: the incrementally maintained expressibility assignments match
-        // a from-scratch expressibility pass over the same entries.
-        prop_assert!(
-            live.maintained().assignments() == express_entries(live.difftree().root(), live.entries()),
-            "{}: expressibility memo diverged from express_entries",
-            label
-        );
-
-        // Pipeline equivalence: replaying the surviving sources append-only through a
-        // fresh log reproduces the same tree and triage split.
-        let mut replay = LiveLog::new();
-        for source in &mirror {
-            replay.append_source(source);
-        }
-        prop_assert!(
-            replay.healthy_len() == live.healthy_len()
-                && replay.quarantined_len() == live.quarantined_len(),
-            "{}: replay triage split diverged",
-            label
-        );
-        prop_assert!(
-            replay.difftree().fingerprint() == live.difftree().fingerprint(),
-            "{}: append-only replay of the final sources built a different tree",
-            label
+            LiveLog::from_sources(&live.sources()) == live,
+            "{}: sources() does not round-trip",
+            spec.scenario_name()
         );
     }
 
@@ -149,18 +119,15 @@ proptest! {
         plan in plan(),
     ) {
         let pool = source_pool(spec, noise);
-        let (mut live, _) = run_plan(&pool, &plan);
+        let (mut live, _) = run_plan(&pool, &plan).expect("plan replays");
         while !live.is_empty() {
-            // Drain from alternating ends so the spine sees both special cases.
+            // Drain from alternating ends so both boundaries are retracted.
             let index = if live.len() % 2 == 0 { live.len() - 1 } else { 0 };
             live.retract(index).expect("in-bounds retract");
         }
         prop_assert_eq!(live.healthy_len(), 0);
         prop_assert_eq!(live.quarantined_len(), 0);
-        prop_assert!(
-            live.difftree().fingerprint() == initial_difftree(&[]).fingerprint(),
-            "{}: drained log is not the empty tree",
-            spec.scenario_name()
-        );
+        prop_assert!(live.diagnostics().is_empty());
+        prop_assert!(live == LiveLog::new(), "{}: drained log is not empty", spec.scenario_name());
     }
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use mctsui_cost::{CostWeights, InterfaceCost};
-use mctsui_difftree::{initial_difftree, simplified_difftree, DiffTree, RuleEngine};
+use mctsui_difftree::{simplified_difftree, DiffTree, RuleEngine};
 use mctsui_mcts::{Budget, MctsConfig, SearchHandle, SearchProblem, SliceBudget};
 use mctsui_sql::Ast;
 use mctsui_widgets::{
@@ -60,8 +60,6 @@ pub struct GeneratorConfig {
     pub assignments_per_eval: usize,
     /// Cap on the number of widget-type combinations enumerated for the final difftree.
     pub final_enumeration_cap: usize,
-    /// Deduplicate identical queries in the log before building the initial state.
-    pub dedup_queries: bool,
 }
 
 impl GeneratorConfig {
@@ -77,7 +75,6 @@ impl GeneratorConfig {
             strategy: SearchStrategy::Mcts,
             assignments_per_eval: 5,
             final_enumeration_cap: 256,
-            dedup_queries: true,
         }
     }
 
@@ -94,7 +91,6 @@ impl GeneratorConfig {
             strategy: SearchStrategy::Mcts,
             assignments_per_eval: 3,
             final_enumeration_cap: 64,
-            dedup_queries: true,
         }
     }
 
@@ -150,23 +146,12 @@ impl InterfaceGenerator {
         }
     }
 
-    /// Create a generator for a triaged (possibly degraded) log: synthesis runs over the
-    /// healthy entries only, so a session with quarantined queries produces exactly the
-    /// interface the same session would produce with those queries removed up front.
-    pub fn from_triaged(log: &crate::triage::TriagedLog, config: GeneratorConfig) -> Self {
-        Self::new(log.healthy(), config)
-    }
-
-    /// The search problem corresponding to this generator's configuration.
+    /// The search problem corresponding to this generator's configuration, starting from
+    /// the log's [`simplified_difftree`].
     pub fn problem(&self) -> InterfaceSearchProblem {
-        let initial = if self.config.dedup_queries {
-            simplified_difftree(&self.queries)
-        } else {
-            initial_difftree(&self.queries)
-        };
         InterfaceSearchProblem::new(
             self.queries.clone(),
-            initial,
+            simplified_difftree(&self.queries),
             self.engine.clone(),
             self.config.screen,
             self.config.weights,
@@ -329,11 +314,11 @@ mod tests {
             "not sql at all",
             "SELECT Costs FROM sales",
         ];
-        let triaged = crate::triage::TriagedLog::from_sources(&noisy);
+        let triaged = crate::LiveLog::from_sources(&noisy);
         assert_eq!(triaged.quarantined_len(), 2);
 
         let config = GeneratorConfig::quick(Screen::wide()).with_seed(11);
-        let degraded = InterfaceGenerator::from_triaged(&triaged, config.clone()).generate();
+        let degraded = InterfaceGenerator::new(triaged.healthy(), config.clone()).generate();
         let reference = InterfaceGenerator::new(figure1_queries(), config).generate();
         assert_eq!(
             degraded.difftree.fingerprint(),

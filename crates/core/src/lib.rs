@@ -30,12 +30,10 @@ pub mod problem;
 pub mod search;
 pub mod session;
 pub mod stats;
-pub mod triage;
 
 pub use describe::{ChoiceDescription, InterfaceDescription};
 pub use generator::{GeneratedInterface, GeneratorConfig, InterfaceGenerator, SearchStrategy};
-pub use live::{graft_append, LiveLog};
+pub use live::{graft_append, LiveLog, TriageDiagnostic, TriagedLog};
 pub use problem::InterfaceSearchProblem;
 pub use session::{InterfaceSession, SessionError};
 pub use stats::{search_space_stats, GenerationStats, SearchSpaceStats};
-pub use triage::{TriageDiagnostic, TriagedLog};

@@ -1,155 +1,158 @@
-//! Live session logs: triage-aware append/retract with an incrementally maintained tree.
+//! Session query logs: per-query triage, append and retract.
 //!
-//! [`LiveLog`] is the serving layer's view of a session's query log while the user is
-//! still streaming queries. It composes the lenient triage front end
-//! ([`TriagedLog`](crate::TriagedLog)-style per-query quarantine) with the
-//! [`MaintainedTree`](mctsui_difftree::MaintainedTree) incremental-maintenance subsystem,
-//! so an appended or retracted query is an O(change) edit to the session's difftree and
-//! expressibility memos instead of a from-scratch re-derive of the whole log.
+//! Real query logs carry truncated statements, copy-paste damage and dialect noise. Instead
+//! of rejecting a whole session for one bad line, [`LiveLog`] runs every submitted query
+//! through the error-recovering front end ([`parse_query_lenient`]) and keeps *healthy*
+//! entries (the strict parser would accept them — acceptance and
+//! [`LenientParse::is_clean`](mctsui_sql::LenientParse::is_clean) agree by construction)
+//! beside *quarantined* [`LogEntry::Opaque`] slots carrying structured diagnostics.
+//! Interface generation runs over the healthy subsequence exactly as if the quarantined
+//! queries had never been submitted, which is what makes the degraded path testable: a
+//! session with `k` noisy queries must synthesize bit-identically to the same session
+//! pre-quarantined.
 //!
-//! The module also provides the *state graft* used when re-rooting a warm search tree
-//! onto the updated problem ([`graft_append`]): given a difftree the search had already
-//! reached for the old query list, produce the equivalent difftree over the new list by
-//! splicing the appended query's leaf under the root — everything else `Arc`-shared, so
+//! The serving layer keeps one `LiveLog` per session and edits it while the analyst keeps
+//! querying: [`LiveLog::append_source`] triages and appends one query,
+//! [`LiveLog::retract`] removes one slot, and the session's search problem is rebuilt from
+//! [`LiveLog::healthy`]. [`graft_append`] is the *state graft* that re-roots a warm search
+//! tree onto the extended log: given a difftree the search had already reached for the old
+//! query list, it produces the equivalent difftree over the new list by splicing the
+//! appended query's leaf under the root — everything else `Arc`-shared, so
 //! fingerprint-keyed caches survive the rebase.
 
-use mctsui_difftree::{DiffNode, DiffTree, LogEntry, MaintainedTree};
-use mctsui_sql::{parse_query_lenient, print_query, Ast};
+use mctsui_difftree::{DiffKind, DiffNode, DiffTree, LogEntry};
+use mctsui_sql::{parse_query_lenient, print_query, Ast, SyntaxError};
 
-use crate::triage::{TriageDiagnostic, TriagedLog};
-
-/// A session's query log under live maintenance: appends and retracts update the
-/// underlying difftree in O(change), quarantining malformed queries in place exactly like
-/// admission-time triage does.
-#[derive(Clone, Debug, Default)]
-pub struct LiveLog {
-    maintained: MaintainedTree,
+/// One flattened diagnostic of a log, addressed by original query index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TriageDiagnostic {
+    /// Index of the query in the submitted log (not the healthy subsequence).
+    pub index: usize,
+    /// Byte offset of the problem within that query's text.
+    pub offset: usize,
+    /// Human readable description of what went wrong.
+    pub message: String,
+    /// True when the diagnostic disqualified the query from synthesis.
+    pub quarantined: bool,
 }
 
+/// A session's query log: every submitted query in arrival order, malformed ones
+/// quarantined in place as [`LogEntry::Opaque`] slots.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LiveLog {
+    entries: Vec<LogEntry>,
+}
+
+/// The admission-time name of a [`LiveLog`]: the log a request triages is the log its
+/// session then edits.
+pub type TriagedLog = LiveLog;
+
 impl LiveLog {
-    /// An empty live log.
+    /// An empty log.
     pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Triage raw query texts with the lenient front end.
+    ///
+    /// A query is healthy iff its lenient parse is clean, which the `sqlast` test suite pins
+    /// to be equivalent to strict acceptance — so triage never changes the meaning of a
+    /// query the strict path would have taken.
+    pub fn from_sources<S: AsRef<str>>(sources: &[S]) -> Self {
         Self {
-            maintained: MaintainedTree::new(),
+            entries: sources.iter().map(|s| triage(s.as_ref())).collect(),
         }
     }
 
-    /// Adopt an admission-time triaged log (quarantined slots preserved in place).
+    /// A copy of an admission-time triaged log (quarantined slots preserved in place).
     pub fn from_triaged(log: &TriagedLog) -> Self {
-        Self {
-            maintained: MaintainedTree::from_entries(log.entries().to_vec()),
-        }
+        log.clone()
     }
 
     /// Wrap an already-parsed, fully healthy log.
     pub fn from_asts(queries: Vec<Ast>) -> Self {
         Self {
-            maintained: MaintainedTree::from_entries(
-                queries.into_iter().map(LogEntry::Parsed).collect(),
-            ),
+            entries: queries.into_iter().map(LogEntry::Parsed).collect(),
         }
     }
 
-    /// Append one raw query text with lenient triage.
-    ///
-    /// A clean parse appends a healthy entry (grafting its leaf into the maintained
-    /// tree); anything else appends a quarantined `Opaque` slot that occupies a log
-    /// position but leaves the tree untouched. Returns the diagnostics for the appended
-    /// slot (empty when healthy), addressed by its log index.
+    /// Append one raw query text with lenient triage: a clean parse appends a healthy
+    /// entry, anything else a quarantined `Opaque` slot that occupies a log position.
+    /// Returns the diagnostics of the appended slot (empty when healthy), addressed by its
+    /// log index.
     pub fn append_source(&mut self, source: &str) -> Vec<TriageDiagnostic> {
-        let index = self.maintained.len();
-        let parsed = parse_query_lenient(source);
-        if parsed.is_clean() {
-            self.maintained
-                .append_query(parsed.ast.expect("clean parse has an AST"));
-            return Vec::new();
-        }
-        let diagnostics = parsed
-            .errors
-            .iter()
-            .map(|error| TriageDiagnostic {
-                index,
-                offset: error.offset,
-                message: error.message.clone(),
-                quarantined: true,
-            })
-            .collect();
-        self.maintained.append_entry(LogEntry::Opaque {
-            source: source.to_string(),
-            errors: parsed.errors,
-        });
-        diagnostics
+        let index = self.entries.len();
+        self.entries.push(triage(source));
+        slot_diagnostics(index, &self.entries[index]).collect()
     }
 
-    /// Retract the entry at `index` (full-log position, quarantined slots included).
+    /// Retract the entry at `index` (full-log position, quarantined slots included) and
+    /// return it, or an error if `index` is out of bounds.
     pub fn retract(&mut self, index: usize) -> Result<LogEntry, String> {
-        self.maintained.retract_query(index)
-    }
-
-    /// The incrementally maintained difftree over the healthy queries — bit-identical to
-    /// [`initial_difftree`](mctsui_difftree::initial_difftree) of [`LiveLog::healthy`].
-    pub fn difftree(&self) -> &DiffTree {
-        self.maintained.tree()
-    }
-
-    /// The underlying maintained tree (entries + tree + expressibility memo).
-    pub fn maintained(&self) -> &MaintainedTree {
-        &self.maintained
+        if index >= self.entries.len() {
+            return Err(format!(
+                "retract index {index} out of bounds for log of length {}",
+                self.entries.len()
+            ));
+        }
+        Ok(self.entries.remove(index))
     }
 
     /// All log slots in arrival order.
     pub fn entries(&self) -> &[LogEntry] {
-        self.maintained.entries()
+        &self.entries
     }
 
-    /// The healthy query ASTs in log order.
+    /// The healthy ASTs in log order — the log interface generation runs over.
     pub fn healthy(&self) -> Vec<Ast> {
-        self.maintained.healthy()
+        self.entries
+            .iter()
+            .filter_map(|entry| entry.ast().cloned())
+            .collect()
     }
 
     /// Total log length, quarantined slots included.
     pub fn len(&self) -> usize {
-        self.maintained.len()
+        self.entries.len()
     }
 
     /// True when the log holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.maintained.is_empty()
+        self.entries.is_empty()
     }
 
     /// Number of healthy entries.
     pub fn healthy_len(&self) -> usize {
-        self.maintained.healthy_len()
+        self.len() - self.quarantined_len()
     }
 
     /// Number of quarantined slots.
     pub fn quarantined_len(&self) -> usize {
-        self.maintained.quarantined_len()
+        self.entries.iter().filter(|e| e.is_quarantined()).count()
+    }
+
+    /// The first failure, as `(query index, diagnostic)` — what a strict server reports.
+    pub fn first_failure(&self) -> Option<(usize, &SyntaxError)> {
+        self.entries.iter().enumerate().find_map(|(i, e)| match e {
+            LogEntry::Opaque { errors, .. } => errors.first().map(|err| (i, err)),
+            LogEntry::Parsed(_) => None,
+        })
     }
 
     /// Every diagnostic of every quarantined slot, flattened in log order.
     pub fn diagnostics(&self) -> Vec<TriageDiagnostic> {
-        let mut out = Vec::new();
-        for (index, entry) in self.entries().iter().enumerate() {
-            if let LogEntry::Opaque { errors, .. } = entry {
-                for error in errors {
-                    out.push(TriageDiagnostic {
-                        index,
-                        offset: error.offset,
-                        message: error.message.clone(),
-                        quarantined: true,
-                    });
-                }
-            }
-        }
-        out
+        self.entries
+            .iter()
+            .enumerate()
+            .flat_map(|(index, entry)| slot_diagnostics(index, entry))
+            .collect()
     }
 
     /// The log as round-trippable source text: canonical SQL for healthy entries, the
     /// raw submitted text for quarantined slots. Feeding this back through
-    /// [`TriagedLog::from_sources`] reproduces the log — the session snapshot format.
+    /// [`LiveLog::from_sources`] reproduces the log — the session snapshot format.
     pub fn sources(&self) -> Vec<String> {
-        self.entries()
+        self.entries
             .iter()
             .map(|entry| match entry {
                 LogEntry::Parsed(ast) => print_query(ast),
@@ -157,6 +160,33 @@ impl LiveLog {
             })
             .collect()
     }
+}
+
+/// Triage one raw query text into a log slot.
+fn triage(source: &str) -> LogEntry {
+    let parsed = parse_query_lenient(source);
+    if parsed.is_clean() {
+        LogEntry::Parsed(parsed.ast.expect("clean parse has an AST"))
+    } else {
+        LogEntry::Opaque {
+            source: source.to_string(),
+            errors: parsed.errors,
+        }
+    }
+}
+
+/// The diagnostics of the slot at `index` (none for a healthy entry).
+fn slot_diagnostics(index: usize, entry: &LogEntry) -> impl Iterator<Item = TriageDiagnostic> + '_ {
+    let errors: &[SyntaxError] = match entry {
+        LogEntry::Opaque { errors, .. } => errors,
+        LogEntry::Parsed(_) => &[],
+    };
+    errors.iter().map(move |error| TriageDiagnostic {
+        index,
+        offset: error.offset,
+        message: error.message.clone(),
+        quarantined: true,
+    })
 }
 
 /// Graft an appended query's leaf into an arbitrary search state over the old query list,
@@ -173,7 +203,7 @@ pub fn graft_append(state: &DiffTree, ast: &Ast) -> DiffTree {
     let root = state.root();
     let new_root = if root.is_empty_alt() {
         leaf
-    } else if root.kind() == mctsui_difftree::DiffKind::Any {
+    } else if root.kind() == DiffKind::Any {
         let mut children = root.children().to_vec();
         children.push(leaf);
         DiffNode::any(children)
@@ -187,7 +217,7 @@ pub fn graft_append(state: &DiffTree, ast: &Ast) -> DiffTree {
 mod tests {
     use super::*;
     use mctsui_difftree::derive::expresses_all;
-    use mctsui_difftree::{initial_difftree, simplified_difftree};
+    use mctsui_difftree::simplified_difftree;
     use mctsui_sql::parse_query;
 
     fn q(sql: &str) -> Ast {
@@ -195,7 +225,64 @@ mod tests {
     }
 
     #[test]
-    fn live_log_matches_triage_at_every_prefix() {
+    fn clean_sources_are_all_healthy() {
+        let sources = [
+            "SELECT Sales FROM sales WHERE cty = 'USA'",
+            "SELECT Costs FROM sales",
+        ];
+        let log = LiveLog::from_sources(&sources);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.quarantined_len(), 0);
+        assert!(log.diagnostics().is_empty());
+        assert!(log.first_failure().is_none());
+        // Healthy ASTs are bit-identical to the strict parse.
+        let strict: Vec<_> = sources.iter().map(|s| q(s)).collect();
+        assert_eq!(log.healthy(), strict);
+        assert_eq!(LiveLog::from_asts(strict), log);
+    }
+
+    #[test]
+    fn noisy_sources_are_quarantined_in_place() {
+        let sources = [
+            "SELECT Sales FROM sales",
+            "SELECT @@ FROM",
+            "SELECT Costs FROM sales",
+            "totally not sql",
+        ];
+        let log = LiveLog::from_sources(&sources);
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.quarantined_len(), 2);
+        assert_eq!(log.healthy_len(), 2);
+        assert_eq!(log.healthy().len(), 2);
+
+        let diags = log.diagnostics();
+        assert!(!diags.is_empty());
+        assert!(diags.iter().all(|d| d.quarantined));
+        assert!(diags.iter().any(|d| d.index == 1));
+        assert!(diags.iter().any(|d| d.index == 3));
+
+        let (index, first) = log.first_failure().unwrap();
+        assert_eq!(index, 1);
+        assert!(!first.message.is_empty());
+    }
+
+    #[test]
+    fn healthy_subsequence_matches_pre_quarantined_log() {
+        // The quarantine invariant the fuzz oracle leans on: triaging a noisy log and
+        // triaging the same log with the noisy entries removed yield the same healthy ASTs.
+        let noisy = [
+            "SELECT Sales FROM sales WHERE cty = 'USA'",
+            "SELEC ... garbage",
+            "SELECT Costs FROM sales",
+        ];
+        let clean = [noisy[0], noisy[2]];
+        let a = LiveLog::from_sources(&noisy);
+        let b = LiveLog::from_sources(&clean);
+        assert_eq!(a.healthy(), b.healthy());
+    }
+
+    #[test]
+    fn appending_matches_triage_at_every_prefix() {
         let sources = [
             "SELECT Sales FROM sales WHERE cty = 'USA'",
             "SELEC ... garbage",
@@ -206,18 +293,15 @@ mod tests {
         let mut live = LiveLog::new();
         for prefix in 1..=sources.len() {
             let diags = live.append_source(sources[prefix - 1]);
-            let triaged = TriagedLog::from_sources(&sources[..prefix]);
-            assert_eq!(live.healthy(), triaged.healthy());
-            assert_eq!(live.len(), triaged.len());
-            assert_eq!(live.quarantined_len(), triaged.quarantined_len());
-            assert_eq!(live.diagnostics(), triaged.diagnostics());
-            assert_eq!(
-                live.difftree().fingerprint(),
-                initial_difftree(&triaged.healthy()).fingerprint()
-            );
-            // Appending a noisy source reports its diagnostics immediately.
-            let noisy = TriagedLog::from_sources(&[sources[prefix - 1]]).quarantined_len() > 0;
-            assert_eq!(diags.is_empty(), !noisy);
+            let triaged = LiveLog::from_sources(&sources[..prefix]);
+            assert_eq!(live, triaged);
+            // Appending reports exactly the appended slot's diagnostics.
+            let tail: Vec<_> = triaged
+                .diagnostics()
+                .into_iter()
+                .filter(|d| d.index == prefix - 1)
+                .collect();
+            assert_eq!(diags, tail);
         }
     }
 
@@ -232,17 +316,12 @@ mod tests {
         for source in &sources {
             live.append_source(source);
         }
-        let rebuilt = LiveLog::from_triaged(&TriagedLog::from_sources(&live.sources()));
-        assert_eq!(rebuilt.healthy(), live.healthy());
-        assert_eq!(rebuilt.quarantined_len(), live.quarantined_len());
-        assert_eq!(
-            rebuilt.difftree().fingerprint(),
-            live.difftree().fingerprint()
-        );
+        assert_eq!(LiveLog::from_sources(&live.sources()), live);
+        assert_eq!(LiveLog::from_triaged(&live), live);
     }
 
     #[test]
-    fn retract_updates_the_tree_and_diagnostics() {
+    fn retract_shifts_entries_and_diagnostics() {
         let mut live = LiveLog::from_asts(vec![
             q("select x from t"),
             q("select y from t"),
@@ -250,22 +329,20 @@ mod tests {
         ]);
         live.append_source("SELEC nope");
         assert_eq!(live.len(), 4);
+        assert_eq!(live.diagnostics()[0].index, 3);
 
         live.retract(1).unwrap();
         assert_eq!(
             live.healthy(),
             vec![q("select x from t"), q("select z from t")]
         );
-        assert_eq!(
-            live.difftree().fingerprint(),
-            initial_difftree(&live.healthy()).fingerprint()
-        );
+        assert_eq!(live.diagnostics()[0].index, 2);
 
         // Retracting the quarantined slot (now index 2) clears the diagnostics.
-        assert!(!live.diagnostics().is_empty());
         let removed = live.retract(2).unwrap();
         assert!(removed.is_quarantined());
         assert!(live.diagnostics().is_empty());
+        assert!(live.retract(2).is_err());
     }
 
     #[test]

@@ -85,24 +85,6 @@ impl LogEntry {
     }
 }
 
-/// The healthy ASTs of a partially parsed log, in original order.
-pub fn healthy_queries(entries: &[LogEntry]) -> Vec<Ast> {
-    entries.iter().filter_map(|e| e.ast().cloned()).collect()
-}
-
-/// Express every entry of a partially parsed log against `node`.
-///
-/// The result has one slot per entry: quarantined entries yield `None` without being
-/// matched, healthy entries yield their assignment (or `None` when inexpressible), exactly
-/// mirroring [`express_log`] over the healthy subsequence.
-pub fn express_entries(node: &DiffNode, entries: &[LogEntry]) -> Vec<Option<ChoiceAssignment>> {
-    let mut chart = Chart::default();
-    entries
-        .iter()
-        .map(|entry| entry.ast().and_then(|q| chart.express(node, q)))
-        .collect()
-}
-
 /// The selections made at the choice nodes of a difftree, mirrored onto its structure.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChoiceAssignment {
@@ -125,18 +107,6 @@ pub enum ChoiceAssignment {
         /// Assignments for each repetition of the child, in order.
         reps: Vec<ChoiceAssignment>,
     },
-}
-
-impl ChoiceAssignment {
-    /// A trivial assignment for a concrete (choice-free) subtree.
-    pub fn concrete(node: &DiffNode) -> ChoiceAssignment {
-        ChoiceAssignment::All(
-            node.children()
-                .iter()
-                .map(ChoiceAssignment::concrete)
-                .collect(),
-        )
-    }
 }
 
 /// Derive the AST sequence produced by `node` under `assignment`.
@@ -247,7 +217,7 @@ pub struct ChartWork {
 /// The address-based key is only valid while the target ASTs stay alive and unmoved, which
 /// is why this type is private: the safe ways to reuse a chart are [`Expressor`] (which
 /// owns and thereby pins its query log) and the call-scoped charts of [`express`],
-/// [`express_log`], [`expresses_all`] and [`express_entries`], which never outlive the
+/// [`express_log`] and [`expresses_all`], which never outlive the
 /// target borrow.
 struct Chart {
     entries: FxHashMap<ChartKey, Counts>,
@@ -1071,37 +1041,6 @@ mod tests {
         assert_eq!(c23.len(), 2);
     }
 
-    #[test]
-    fn express_entries_skips_opaque_slots_but_keeps_positions() {
-        let queries = figure1_queries();
-        let root = DiffNode::any(queries.iter().map(DiffNode::from_ast).collect());
-        let entries = vec![
-            LogEntry::Parsed(queries[0].clone()),
-            LogEntry::Opaque {
-                source: "SELECT @@ FROM".to_string(),
-                errors: vec![SyntaxError::new("unexpected character `@`", 7)],
-            },
-            LogEntry::Parsed(queries[2].clone()),
-        ];
-        assert!(!entries[0].is_quarantined());
-        assert!(entries[1].is_quarantined());
-        assert_eq!(
-            healthy_queries(&entries),
-            vec![queries[0].clone(), queries[2].clone()]
-        );
-
-        let slots = express_entries(&root, &entries);
-        assert_eq!(slots.len(), 3);
-        assert!(slots[0].is_some());
-        assert!(slots[1].is_none());
-        assert!(slots[2].is_some());
-        // Healthy slots agree with express_log over the healthy subsequence.
-        let healthy = healthy_queries(&entries);
-        let direct = express_log(&root, &healthy);
-        assert_eq!(slots[0], direct[0]);
-        assert_eq!(slots[2], direct[1]);
-    }
-
     /// `FROM` over `MULTI(ANY(a, a))`, and the `FROM` clause of `select x from a, …, a`
     /// listing `tables` tables.
     fn doubled_multi(tables: usize) -> (DiffNode, Ast) {
@@ -1289,14 +1228,5 @@ mod tests {
                 prop_assert_eq!(express(&from, &target), reference);
             }
         }
-    }
-
-    #[test]
-    fn concrete_assignment_matches_express() {
-        let query = q("select top 10 objid from stars where u between 0 and 30");
-        let node = DiffNode::from_ast(&query);
-        let via_express = express(&node, &query).unwrap();
-        let via_concrete = ChoiceAssignment::concrete(&node);
-        assert_eq!(via_express, via_concrete);
     }
 }

@@ -11,19 +11,18 @@
 //!
 //! `Any`, `Opt` and `Multi` are called **choice nodes**; an ordinary AST is the special case
 //! of a difftree in which every node is an `All` node. A concrete query is expressed by a
-//! [`ChoiceAssignment`](derive::ChoiceAssignment) — the set of selections made at every
-//! choice node — and the search for a good interface is a walk over difftrees connected by
-//! the [transformation rules](rules) of the paper's Figure 5.
+//! [`ChoiceAssignment`] — the set of selections made at every choice node — and the search
+//! for a good interface is a walk over difftrees connected by the
+//! [transformation rules](rules) of the paper's Figure 5.
 //!
 //! The crate provides:
 //!
 //! * [`DiffNode`]/[`DiffTree`] with conversions from/to [`mctsui_sql::Ast`],
-//! * derivation and expressibility checking ([`derive`]),
+//! * derivation and expressibility checking ([`derive`](mod@derive)),
 //! * choice-domain descriptors used for widget selection ([`domain`]),
 //! * the initial-state builder ([`builder`]),
 //! * the transformation-rule engine ([`rules`]),
-//! * the incremental action index behind its applicability queries ([`index`]),
-//! * incremental maintenance of the initial tree under log appends/retracts ([`maintain`]), and
+//! * the incremental action index behind its applicability queries ([`index`]), and
 //! * the bounded generational memo cache shared by the long-lived caches ([`cache`]).
 
 pub mod builder;
@@ -31,18 +30,13 @@ pub mod cache;
 pub mod derive;
 pub mod domain;
 pub mod index;
-pub mod maintain;
 pub mod node;
 pub mod rules;
 
 pub use builder::{initial_difftree, simplified_difftree};
 pub use cache::{CacheCounters, GenerationCache, DEFAULT_CACHE_SHARDS};
-pub use derive::{
-    changed_choice_paths, express_entries, express_log, healthy_queries, ChoiceAssignment,
-    Expressor, LogEntry,
-};
+pub use derive::{changed_choice_paths, express_log, ChoiceAssignment, Expressor, LogEntry};
 pub use domain::{ChoiceDomain, DomainValueKind};
 pub use index::{ActionIndex, BindingSummary};
-pub use maintain::MaintainedTree;
 pub use node::{DiffKind, DiffNode, DiffPath, DiffTree, Label, LabelId};
 pub use rules::{Rule, RuleApplication, RuleEngine, RuleId};

@@ -407,8 +407,9 @@ fn run_strict_session(
 }
 
 /// Drive the live-log append rounds of a scripted session: for each configured query,
-/// send `Append` (the server triages it leniently, grafts it into the factored tree and
-/// rebases the warm search handle in O(change)), then refine the rebased tree once.
+/// send `Append` (the server triages it leniently and rebases the warm search handle onto
+/// the extended log, grafting the query's leaf under each kept state's root), then refine
+/// the rebased tree once.
 ///
 /// Monotonicity is deliberately re-anchored on every `Appended` response: a rebase resets
 /// the session's best record because rewards before and after a log change are not

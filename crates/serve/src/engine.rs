@@ -3,8 +3,7 @@
 //!
 //! # Architecture
 //!
-//! * **Sessions** own warm search state: a resumable
-//!   [`SearchHandle`](mctsui_mcts::SearchHandle) over the session's
+//! * **Sessions** own warm search state: a resumable [`SearchHandle`] over the session's
 //!   [`InterfaceSearchProblem`], plus an [`InterfaceSession`] for widget interactions
 //!   against the current best interface. A `refine` request continues the session's tree
 //!   and rng stream exactly where the previous request paused them.
@@ -60,7 +59,7 @@ use rustc_hash::FxHashMap;
 
 use mctsui_core::{
     graft_append, InterfaceDescription, InterfaceSearchProblem, InterfaceSession, LiveLog,
-    SessionError, TriagedLog,
+    SessionError,
 };
 use mctsui_cost::{ContextCacheStats, CostWeights};
 use mctsui_difftree::{
@@ -79,9 +78,6 @@ use crate::snapshot::{SessionSnapshot, SnapshotStore, SNAPSHOT_FORMAT_VERSION};
 pub struct ServeConfig {
     /// Scheduler worker threads slicing search work and draining the evaluation queue.
     pub threads: usize,
-    /// Scheduler quantum: iterations one work item may run before yielding the worker
-    /// (an upper bound on the window width alongside `batch`).
-    pub slice_iterations: usize,
     /// Admission cap on concurrently live sessions (further `synthesize`s are rejected).
     pub max_sessions: usize,
     /// Admission cap on iterations per request (larger asks are clamped).
@@ -140,7 +136,6 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(2)
                 .min(8),
-            slice_iterations: 64,
             max_sessions: 256,
             max_request_iterations: 100_000,
             default_request_iterations: 400,
@@ -167,7 +162,6 @@ impl ServeConfig {
     pub fn quick() -> Self {
         Self {
             threads: 2,
-            slice_iterations: 16,
             default_request_iterations: 60,
             batch: 4,
             mcts: MctsConfig::default().with_rollout_depth(40),
@@ -179,12 +173,6 @@ impl ServeConfig {
     /// Builder helper: set the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder helper: set the scheduler quantum.
-    pub fn with_slice_iterations(mut self, slice: usize) -> Self {
-        self.slice_iterations = slice.max(1);
         self
     }
 
@@ -336,9 +324,8 @@ pub struct SynthesisResult {
     pub improved: bool,
     /// The best interface found so far.
     pub interface: InterfaceDescription,
-    /// Per-query diagnostics recorded when the session's log was triaged at admission
-    /// (empty for fully healthy logs, and for sessions restored from a snapshot —
-    /// diagnostics describe a submission, so they are not persisted).
+    /// The diagnostics of the session log's quarantined slots, addressed by their current
+    /// log index (empty while every entry is healthy).
     pub diagnostics: Vec<QueryDiagnostic>,
 }
 
@@ -358,11 +345,11 @@ pub struct LogEditResult {
 
 /// One live session: the warm search handle plus interaction state.
 struct Session {
-    problem: Arc<InterfaceSearchProblem>,
+    /// The search over the problem of the log's healthy queries.
     handle: SearchHandle<Arc<InterfaceSearchProblem>>,
-    /// The session's live query log under incremental maintenance: appends and retracts
-    /// update the log's difftree in O(change), and `sources()` is the snapshot format
-    /// (quarantined slots included, so they survive a restart round trip).
+    /// The session's query log. Its diagnostics are echoed on every response, and
+    /// `sources()` is the snapshot format (quarantined slots included, so they survive a
+    /// restart round trip).
     log: LiveLog,
     /// Whether a window of pending leaves is currently in flight for this session.
     /// Windows serialise per session (the barrier is what makes the search stream a
@@ -385,10 +372,27 @@ struct Session {
     /// (`None` before the first). Equal to the current count ⇔ the on-disk snapshot is
     /// fresh, so clean sessions cost the periodic sweep nothing.
     snapshotted_iterations: Option<u64>,
-    /// Admission-time triage diagnostics of the session's log, echoed on every
-    /// synthesize/refine response. Deliberately not snapshotted: they describe the
-    /// original submission, and a resumed session answers with an empty list.
-    diagnostics: Vec<QueryDiagnostic>,
+}
+
+impl Session {
+    /// A quiescent session: no window in flight, nothing described or interacted with yet.
+    fn new(
+        handle: SearchHandle<Arc<InterfaceSearchProblem>>,
+        log: LiveLog,
+        eval_seed: u64,
+        snapshotted_iterations: Option<u64>,
+    ) -> Self {
+        Self {
+            handle,
+            log,
+            window_active: false,
+            interact: None,
+            described: None,
+            eval_seed,
+            last_touched: Instant::now(),
+            snapshotted_iterations,
+        }
+    }
 }
 
 /// The sharded session table. Lookups and admission hash the session id onto one of
@@ -746,11 +750,8 @@ impl ServeEngine {
         deadline_millis: u64,
         seed: u64,
     ) -> Result<SynthesisResult, ServeError> {
-        let log = LiveLog::from_asts(queries.clone());
-        self.synthesize_with_diagnostics(
-            queries,
-            log,
-            Vec::new(),
+        self.open_session(
+            LiveLog::from_asts(queries),
             iterations,
             deadline_millis,
             seed,
@@ -764,7 +765,7 @@ impl ServeEngine {
     /// behaviour), as does a log whose every query is quarantined.
     pub fn synthesize_triaged(
         &self,
-        log: &TriagedLog,
+        log: &LiveLog,
         iterations: u64,
         deadline_millis: u64,
         seed: u64,
@@ -773,45 +774,26 @@ impl ServeEngine {
             if self.shared.config.strict {
                 return Err(ServeError::BadQuery(format!("query {index}: {error}")));
             }
-            if log.healthy().is_empty() {
+            if log.healthy_len() == 0 {
                 return Err(ServeError::BadQuery(format!(
                     "all {} queries quarantined; first: query {index}: {error}",
                     log.len()
                 )));
             }
         }
-        let diagnostics = log
-            .diagnostics()
-            .into_iter()
-            .map(|d| QueryDiagnostic {
-                index: d.index as u64,
-                offset: d.offset as u64,
-                message: d.message,
-                quarantined: d.quarantined,
-            })
-            .collect();
-        self.synthesize_with_diagnostics(
-            log.healthy(),
-            LiveLog::from_triaged(log),
-            diagnostics,
-            iterations,
-            deadline_millis,
-            seed,
-        )
+        self.open_session(log.clone(), iterations, deadline_millis, seed)
     }
 
-    fn synthesize_with_diagnostics(
+    /// Admit a session over `log` and run its first request.
+    fn open_session(
         &self,
-        queries: Vec<Ast>,
         log: LiveLog,
-        diagnostics: Vec<QueryDiagnostic>,
         iterations: u64,
         deadline_millis: u64,
         seed: u64,
     ) -> Result<SynthesisResult, ServeError> {
-        if self.is_shutdown() || self.is_draining() {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.ensure_open()?;
+        let queries = log.healthy();
         if queries.is_empty() {
             return Err(ServeError::NoQueries);
         }
@@ -822,42 +804,17 @@ impl ServeEngine {
             return Err(ServeError::Busy);
         }
 
-        let problem = self.problem_for(&queries);
         let mut mcts = self.shared.config.mcts.clone();
         mcts.seed = seed;
         // Session budgets are unbounded; every request is bounded by the scheduler instead.
         mcts.budget = Budget::Iterations(usize::MAX);
-        let handle = SearchHandle::new(Arc::clone(&problem), mcts);
+        let handle = SearchHandle::new(self.problem_for(&queries), mcts);
 
         let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let quarantined = diagnostics
-            .iter()
-            .filter(|d| d.quarantined)
-            .map(|d| d.index)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len() as u64;
-        let session = Arc::new(Mutex::new(Session {
-            problem,
-            handle,
-            log,
-            window_active: false,
-            interact: None,
-            described: None,
-            eval_seed: seed,
-            last_touched: Instant::now(),
-            snapshotted_iterations: None,
-            diagnostics,
-        }));
-        if !self
-            .shared
-            .sessions
-            .try_insert(id, session, self.shared.config.max_sessions)
-        {
+        let quarantined = log.quarantined_len() as u64;
+        if !self.insert_session(id, Session::new(handle, log, seed, None)) {
             return Err(ServeError::Busy);
         }
-        self.shared
-            .peak_sessions
-            .fetch_max(self.shared.sessions.len(), Ordering::Relaxed);
         // Counted only once admission succeeded: `total_requests` reports admitted work,
         // and `quarantined_queries` reports quarantines of logs that were actually served.
         self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
@@ -874,6 +831,22 @@ impl ServeEngine {
         result
     }
 
+    /// Insert a new session under the admission cap and record the peak. False when the
+    /// table is full or the id is already live.
+    fn insert_session(&self, id: u64, session: Session) -> bool {
+        let inserted = self.shared.sessions.try_insert(
+            id,
+            Arc::new(Mutex::new(session)),
+            self.shared.config.max_sessions,
+        );
+        if inserted {
+            self.shared
+                .peak_sessions
+                .fetch_max(self.shared.sessions.len(), Ordering::Relaxed);
+        }
+        inserted
+    }
+
     /// Continue a session's search under the request bounds. The session's best reward is
     /// monotone: a refine can only improve (or keep) the answer.
     pub fn refine(
@@ -882,9 +855,7 @@ impl ServeEngine {
         iterations: u64,
         deadline_millis: u64,
     ) -> Result<SynthesisResult, ServeError> {
-        if self.is_shutdown() || self.is_draining() {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.ensure_open()?;
         // Existence check up front so callers get UnknownSession, not a queue round-trip.
         if !self.shared.sessions.contains(session) {
             return Err(ServeError::UnknownSession(session));
@@ -893,21 +864,18 @@ impl ServeEngine {
         self.run_request(session, iterations, deadline_millis)
     }
 
-    /// Append one query to a live session's log — an O(change) edit, not a re-derive.
+    /// Append one query to a live session's log.
     ///
-    /// The query is triaged leniently exactly like admission. A clean parse grafts the
-    /// new leaf into the session's maintained difftree, switches the session to the
-    /// shared problem of the extended log and re-roots the warm search tree onto it
-    /// ([`SearchHandle::rebase`] with the [`graft_append`] state graft): visit statistics
-    /// survive as warm priors, every off-spine subtree stays `Arc`-shared, and
-    /// fingerprint-keyed caches keep hitting. A malformed query occupies a quarantined
-    /// log slot and leaves the search untouched (rejected instead under
+    /// The query is triaged leniently exactly like admission. A clean parse switches the
+    /// session to the shared problem of the extended log and re-roots the warm search
+    /// tree onto it ([`SearchHandle::rebase`] with the [`graft_append`] state graft):
+    /// visit statistics survive as warm priors, every off-spine subtree stays
+    /// `Arc`-shared, and fingerprint-keyed caches keep hitting. A malformed query occupies
+    /// a quarantined log slot and leaves the search untouched (rejected instead under
     /// [`ServeConfig::strict`]). Rebase resets the session's best record to the updated
     /// problem's root, so post-append rewards are not comparable to pre-append ones.
     pub fn append(&self, session: u64, query: &str) -> Result<LogEditResult, ServeError> {
-        if self.is_shutdown() || self.is_draining() {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.ensure_open()?;
         if self.shared.config.strict {
             if let Err(e) = parse_query(query) {
                 return Err(ServeError::BadQuery(e.to_string()));
@@ -918,50 +886,31 @@ impl ServeEngine {
         let mut guard = self.lock_quiescent(&handle)?;
         guard.last_touched = Instant::now();
 
-        let appended_at = guard.log.len();
-        let triage = guard.log.append_source(query);
-        let mut replaced = None;
-        if triage.is_empty() {
-            let ast = match guard.log.entries().last() {
-                Some(LogEntry::Parsed(ast)) => ast.clone(),
-                _ => unreachable!("clean append yields a parsed tail entry"),
+        let healthy = guard.log.append_source(query).is_empty();
+        let replaced = if healthy {
+            let Some(LogEntry::Parsed(ast)) = guard.log.entries().last().cloned() else {
+                unreachable!("clean append yields a parsed tail entry");
             };
-            let problem = self.problem_for(&guard.log.healthy());
-            guard
-                .handle
-                .rebase(Arc::clone(&problem), |state| {
-                    Some(graft_append(state, &ast))
-                })
-                .expect("window quiescence implies handle quiescence");
-            replaced = Some(std::mem::replace(&mut guard.problem, problem));
-            guard.interact = None;
-            guard.described = None;
-            // The on-disk snapshot (if any) no longer matches the log: force a rewrite.
-            guard.snapshotted_iterations = None;
-            self.shared.rebased_handles.fetch_add(1, Ordering::Relaxed);
+            Some(self.rebase_session(&mut guard, |state| Some(graft_append(state, &ast))))
         } else {
-            debug_assert!(triage.iter().all(|d| d.index == appended_at));
             self.shared
                 .quarantined_queries
                 .fetch_add(1, Ordering::Relaxed);
-            guard.snapshotted_iterations = None;
-        }
+            None
+        };
         self.shared.appended_queries.fetch_add(1, Ordering::Relaxed);
         self.finish_log_edit(session, guard, replaced)
     }
 
     /// Retract the session's log entry at `index` (0-based, quarantined slots included).
     ///
-    /// Retracting a healthy query narrows the maintained difftree in O(change) and
-    /// re-roots the warm search tree onto the narrowed problem (the identity graft: a
-    /// state expressing a superset of queries expresses the remainder). Retracting a
-    /// quarantined slot just frees the slot and its diagnostics — the search is
-    /// untouched. Retracting the last healthy query is rejected with
-    /// [`ServeError::NoQueries`].
+    /// Retracting a healthy query switches the session to the problem of the narrowed log
+    /// and re-roots the warm search tree onto it (the identity graft: a state expressing
+    /// a superset of queries expresses the remainder). Retracting a quarantined slot just
+    /// frees the slot and its diagnostics — the search is untouched. Retracting the last
+    /// healthy query is rejected with [`ServeError::NoQueries`].
     pub fn retract(&self, session: u64, index: u64) -> Result<LogEditResult, ServeError> {
-        if self.is_shutdown() || self.is_draining() {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.ensure_open()?;
         self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let handle = self.session(session)?;
         let mut guard = self.lock_quiescent(&handle)?;
@@ -974,32 +923,41 @@ impl ServeEngine {
                 guard.log.len()
             )));
         };
-        let healthy_retract = matches!(entry, LogEntry::Parsed(_));
-        if healthy_retract && guard.log.healthy_len() == 1 {
+        let healthy = !entry.is_quarantined();
+        if healthy && guard.log.healthy_len() == 1 {
             return Err(ServeError::NoQueries);
         }
         guard.log.retract(at).map_err(ServeError::BadQuery)?;
-        let mut replaced = None;
-        if healthy_retract {
-            let problem = self.problem_for(&guard.log.healthy());
-            guard
-                .handle
-                .rebase(Arc::clone(&problem), |state| Some(state.clone()))
-                .expect("window quiescence implies handle quiescence");
-            replaced = Some(std::mem::replace(&mut guard.problem, problem));
-            guard.interact = None;
-            guard.described = None;
-            self.shared.rebased_handles.fetch_add(1, Ordering::Relaxed);
-        }
-        guard.snapshotted_iterations = None;
+        let replaced =
+            healthy.then(|| self.rebase_session(&mut guard, |state| Some(state.clone())));
         self.shared
             .retracted_queries
             .fetch_add(1, Ordering::Relaxed);
         self.finish_log_edit(session, guard, replaced)
     }
 
-    /// Common tail of a log edit: refresh the session's diagnostics from the updated log,
-    /// record the log shape, release the lock and build the anytime answer outside it.
+    /// Move a session onto the problem of its edited log: re-root the warm search tree
+    /// through `graft` and drop the views of the old best interface. Returns the replaced
+    /// problem, for the caller to drop after releasing the session lock.
+    fn rebase_session(
+        &self,
+        session: &mut Session,
+        graft: impl Fn(&DiffTree) -> Option<DiffTree>,
+    ) -> Arc<InterfaceSearchProblem> {
+        let problem = self.problem_for(&session.log.healthy());
+        let replaced = Arc::clone(session.handle.problem());
+        session
+            .handle
+            .rebase(problem, graft)
+            .expect("window quiescence implies handle quiescence");
+        session.interact = None;
+        session.described = None;
+        self.shared.rebased_handles.fetch_add(1, Ordering::Relaxed);
+        replaced
+    }
+
+    /// Common tail of a log edit: mark the on-disk snapshot stale, record the log shape,
+    /// release the lock and build the anytime answer outside it.
     ///
     /// `replaced` is the problem the edit swapped out, if any. It may hold the last
     /// reference, and tearing a problem down (its plan and context caches and its
@@ -1011,17 +969,7 @@ impl ServeEngine {
         mut guard: std::sync::MutexGuard<'_, Session>,
         replaced: Option<Arc<InterfaceSearchProblem>>,
     ) -> Result<LogEditResult, ServeError> {
-        guard.diagnostics = guard
-            .log
-            .diagnostics()
-            .into_iter()
-            .map(|d| QueryDiagnostic {
-                index: d.index as u64,
-                offset: d.offset as u64,
-                message: d.message,
-                quarantined: d.quarantined,
-            })
-            .collect();
+        guard.snapshotted_iterations = None;
         let log_len = guard.log.len() as u64;
         let healthy_len = guard.log.healthy_len() as u64;
         let quarantined_len = guard.log.quarantined_len() as u64;
@@ -1080,13 +1028,7 @@ impl ServeEngine {
             deadline_millis.min(config.max_deadline_millis)
         };
 
-        let reward_before = {
-            let handle = self.session(session)?;
-            let mut guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.last_touched = Instant::now();
-            guard.handle.best_reward()
-        };
-
+        let reward_before = self.touch(session)?;
         let ticket = Ticket::new();
         {
             let mut sched = self
@@ -1145,10 +1087,10 @@ impl ServeEngine {
                 best_tree,
                 best_reward,
                 best,
-                Arc::clone(&guard.problem),
+                Arc::clone(guard.handle.problem()),
                 guard.eval_seed,
                 cached,
-                guard.diagnostics.clone(),
+                guard.log.diagnostics(),
             )
         };
 
@@ -1176,7 +1118,15 @@ impl ServeEngine {
             best,
             improved: best_reward > reward_before,
             interface,
-            diagnostics,
+            diagnostics: diagnostics
+                .into_iter()
+                .map(|d| QueryDiagnostic {
+                    index: d.index as u64,
+                    offset: d.offset as u64,
+                    message: d.message,
+                    quarantined: d.quarantined,
+                })
+                .collect(),
         })
     }
 
@@ -1197,7 +1147,8 @@ impl ServeEngine {
         };
         if stale {
             let first_query = guard
-                .problem
+                .handle
+                .problem()
                 .queries()
                 .first()
                 .cloned()
@@ -1393,9 +1344,13 @@ impl ServeEngine {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Whether graceful drain has begun (admission closed, in-flight work finishing).
-    fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+    /// Refuse new requests once shutdown or graceful drain (admission closed, in-flight
+    /// work finishing) has begun.
+    fn ensure_open(&self) -> Result<(), ServeError> {
+        if self.is_shutdown() || self.shared.draining.load(Ordering::SeqCst) {
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(())
     }
 
     /// Graceful drain: stop admitting new work, wait (up to `max_wait`) for the scheduler
@@ -1449,17 +1404,10 @@ impl ServeEngine {
     /// search handle rebuilt at the exact tree/rng/best state it was snapshotted in — so
     /// the restored session continues bit-identically to the uninterrupted run.
     pub fn resume(&self, session: u64) -> Result<SynthesisResult, ServeError> {
-        if self.is_shutdown() || self.is_draining() {
-            return Err(ServeError::ShuttingDown);
-        }
+        self.ensure_open()?;
         self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         if self.shared.sessions.contains(session) {
-            let reward = {
-                let handle = self.session(session)?;
-                let mut guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.last_touched = Instant::now();
-                guard.handle.best_reward()
-            };
+            let reward = self.touch(session)?;
             return self.anytime_result(session, reward);
         }
         let Some(store) = &self.shared.store else {
@@ -1472,7 +1420,7 @@ impl ServeEngine {
         // The full live log round-trips through triage: healthy entries were stored as
         // canonical SQL (they must re-parse — anything else is corruption, since the
         // problem is rebuilt from them), quarantined slots re-quarantine in place.
-        let log = LiveLog::from_triaged(&TriagedLog::from_sources(&snapshot.log));
+        let log = LiveLog::from_sources(&snapshot.log);
         let healthy = log.healthy();
         if healthy.len() != snapshot.queries.len() {
             return Err(ServeError::Snapshot(format!(
@@ -1486,28 +1434,12 @@ impl ServeEngine {
                 "snapshot has no healthy queries".into(),
             ));
         }
-        let problem = self.problem_for(&healthy);
-        let restored = SearchHandle::restore(Arc::clone(&problem), snapshot.handle)
+        let restored = SearchHandle::restore(self.problem_for(&healthy), snapshot.handle)
             .map_err(ServeError::Snapshot)?;
         let reward = restored.best_reward();
         let iterations = restored.iterations() as u64;
-        let state = Arc::new(Mutex::new(Session {
-            problem,
-            handle: restored,
-            log,
-            window_active: false,
-            interact: None,
-            described: None,
-            eval_seed: snapshot.eval_seed,
-            last_touched: Instant::now(),
-            snapshotted_iterations: Some(iterations),
-            diagnostics: Vec::new(),
-        }));
-        if !self
-            .shared
-            .sessions
-            .try_insert(session, state, self.shared.config.max_sessions)
-        {
+        let state = Session::new(restored, log, snapshot.eval_seed, Some(iterations));
+        if !self.insert_session(session, state) {
             // Either the table is genuinely full, or a concurrent resume of this id won
             // the insert race — the latter is a success for this caller too.
             if self.shared.sessions.contains(session) {
@@ -1515,9 +1447,6 @@ impl ServeEngine {
             }
             return Err(ServeError::Busy);
         }
-        self.shared
-            .peak_sessions
-            .fetch_max(self.shared.sessions.len(), Ordering::Relaxed);
         self.shared.sessions_resumed.fetch_add(1, Ordering::Relaxed);
         self.anytime_result(session, reward)
     }
@@ -1551,6 +1480,15 @@ impl ServeEngine {
     /// The configuration this engine runs with.
     pub fn config(&self) -> &ServeConfig {
         &self.shared.config
+    }
+
+    /// Mark a session as used now and read its best reward: the baseline a response's
+    /// `improved` flag compares against.
+    fn touch(&self, id: u64) -> Result<f64, ServeError> {
+        let session = self.session(id)?;
+        let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.last_touched = Instant::now();
+        Ok(guard.handle.best_reward())
     }
 
     fn session(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServeError> {
@@ -1763,13 +1701,7 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
         .map(|plan| plan.on_turn())
         .unwrap_or_default();
 
-    let width = shared
-        .config
-        .batch
-        .max(1)
-        .min(shared.config.slice_iterations.max(1))
-        .min(item.remaining as usize)
-        .max(1);
+    let width = shared.config.batch.max(1).min(item.remaining as usize);
     let mut pendings = Vec::with_capacity(width);
     for _ in 0..width {
         match guard.handle.begin_iteration() {
@@ -1788,7 +1720,7 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
         panic!("injected worker panic (fault plan)");
     }
     guard.window_active = true;
-    let problem = Arc::clone(&guard.problem);
+    let problem = Arc::clone(guard.handle.problem());
     drop(guard);
     shared.total_slices.fetch_add(1, Ordering::Relaxed);
 
@@ -2089,7 +2021,13 @@ fn persist_one(shared: &Shared, id: u64) -> bool {
         SessionSnapshot {
             format_version: SNAPSHOT_FORMAT_VERSION,
             session: id,
-            queries: guard.problem.queries().iter().map(print_query).collect(),
+            queries: guard
+                .handle
+                .problem()
+                .queries()
+                .iter()
+                .map(print_query)
+                .collect(),
             log: guard.log.sources(),
             eval_seed: guard.eval_seed,
             handle: guard.handle.snapshot(),

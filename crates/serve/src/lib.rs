@@ -21,8 +21,8 @@
 //! This layer is also **fault-hardened**: a worker panic quarantines only the session it
 //! was serving (everyone else keeps serving), sessions snapshot to disk and resume
 //! bit-identically after a restart ([`snapshot`]), sockets carry explicit timeouts and a
-//! frame-size cap, and a seeded [`FaultPlan`](fault::FaultPlan) drives deterministic chaos
-//! tests asserting exact invariants at quiescence.
+//! frame-size cap, and a seeded [`FaultPlan`] drives deterministic chaos tests asserting
+//! exact invariants at quiescence.
 //!
 //! ```no_run
 //! use mctsui_serve::{ServeConfig, ServeEngine};

@@ -78,10 +78,10 @@ pub enum Request {
         action: WidgetAction,
     },
     /// Append one query to a live session's log. The query is triaged leniently exactly
-    /// like admission: a clean parse grafts the new leaf into the session's maintained
-    /// difftree and re-roots the warm search tree onto the extended problem in O(change)
-    /// (visit statistics kept, caches shared); a malformed query occupies a quarantined
-    /// log slot — reported in the response diagnostics — and leaves the search untouched.
+    /// like admission: a clean parse re-roots the warm search tree onto the problem of the
+    /// extended log, grafting the new query's leaf under each kept state's root (visit
+    /// statistics kept, caches shared); a malformed query occupies a quarantined log slot
+    /// — reported in the response diagnostics — and leaves the search untouched.
     /// Servers running `--strict` reject malformed appends instead.
     Append {
         /// Session id.
@@ -296,7 +296,7 @@ pub enum Response {
         improved: bool,
         /// The best interface found so far.
         interface: InterfaceDescription,
-        /// The session's admission diagnostics, echoed on every refine.
+        /// The diagnostics of the session log's quarantined slots, echoed on every refine.
         diagnostics: Vec<QueryDiagnostic>,
     },
     /// A widget interaction was applied; `sql` is the re-derived query.

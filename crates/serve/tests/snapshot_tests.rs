@@ -264,6 +264,8 @@ fn appended_queries_survive_the_snapshot_round_trip() {
         let refined = engine
             .refine(opened.session, 10, 30_000)
             .expect("refine after appends");
+        assert!(!refined.diagnostics.is_empty());
+        assert!(refined.diagnostics.iter().all(|d| d.index == 4));
         let written = engine.drain_and_shutdown(std::time::Duration::from_secs(10));
         assert!(written >= 1, "drain must persist the appended session");
         (opened.session, refined)
@@ -293,12 +295,20 @@ fn appended_queries_survive_the_snapshot_round_trip() {
         }]
     );
 
+    // The restored log still reports its quarantined slot, on a refine and on the next
+    // edit alike.
+    let refined = engine
+        .refine(session, 5, 30_000)
+        .expect("refine after resume");
+    assert_eq!(refined.diagnostics, parted.diagnostics);
+
     // Live maintenance continues on the restored session.
     let edit = engine
         .append(session, "SELECT Costs FROM sales WHERE yr = 2020")
         .expect("append after resume");
     assert_eq!(edit.log_len, 6);
     assert_eq!(edit.healthy_len, 5);
+    assert_eq!(edit.result.diagnostics, parted.diagnostics);
     let retracted = engine.retract(session, 4).expect("retract restored slot");
     assert_eq!(retracted.quarantined_len, 0);
 

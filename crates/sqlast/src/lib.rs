@@ -16,7 +16,7 @@
 //!   never fails (malformed spans become [`TokenKind::Error`] tokens) and whose parser
 //!   re-synchronises at clause boundaries, returning a best-effort AST plus structured
 //!   [`SyntaxError`] diagnostics,
-//! * a generic labelled-tree [`Ast`](ast::Ast) representation whose node kinds mirror the
+//! * a generic labelled-tree [`Ast`] representation whose node kinds mirror the
 //!   grammar-rule names used in the paper's figures (`Select`, `Project`, `Where`,
 //!   `ColExpr`, `BiExpr`, `StrExpr`, ...),
 //! * a [`printer`] that turns ASTs back into SQL text,

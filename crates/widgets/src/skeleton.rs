@@ -127,7 +127,7 @@ pub struct SkelNode {
 
 /// A widget assignment in slot form: one index per choice slot (into its candidate list)
 /// followed by one orientation code per orientation slot (an index into
-/// [`LayoutKind::GROUPING`], or the out-of-range [`ORIENT_ADDER`] code for explicit `Adder`
+/// [`LayoutKind::GROUPING`], or the out-of-range `ORIENT_ADDER` code for explicit `Adder`
 /// map entries). The all-zero vector is the greedy default assignment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotAssignment {
@@ -183,11 +183,12 @@ enum ProtoOrient {
 impl LayoutSkeleton {
     /// Compile a difftree into its layout skeleton.
     ///
-    /// The construction mirrors [`build_widget_tree`] node for node: choice nodes become
-    /// interaction entries, `ALL` nodes with two or more widget-bearing children become
-    /// orientation-slotted layouts, `MULTI` groupings are fixed to `Adder`, a widget-free
-    /// tree compiles to an empty fixed-vertical root, and a single-widget tree is wrapped in
-    /// a root layout whose orientation slot sits at the difftree root path.
+    /// The construction mirrors [`build_widget_tree`](crate::build_widget_tree) node for
+    /// node: choice nodes become interaction entries, `ALL` nodes with two or more
+    /// widget-bearing children become orientation-slotted layouts, `MULTI` groupings are
+    /// fixed to `Adder`, a widget-free tree compiles to an empty fixed-vertical root, and a
+    /// single-widget tree is wrapped in a root layout whose orientation slot sits at the
+    /// difftree root path.
     pub fn compile(tree: &DiffTree) -> Self {
         let proto = Self::proto_of(tree.root(), &DiffPath::root());
         let proto = match proto {

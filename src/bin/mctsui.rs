@@ -27,9 +27,9 @@
 //! SERVE OPTIONS:
 //!   --addr <host:port>           bind address (default: 127.0.0.1:7878)
 //!   --threads <n>                scheduler worker threads (default: cpu count)
-//!   --slice <n>                  scheduler quantum in iterations (default: 64)
 //!   --max-sessions <n>           admission cap on live sessions (default: 256)
-//!   --batch <n>                  leaf-evaluation batch width (default: 8; 1 = sequential)
+//!   --batch <n>                  leaves per scheduler turn and per batched evaluation
+//!                                (default: 8; 1 = sequential)
 //!   --shards <n>                 session-table / cache shard count (default: 8)
 //!   --screen <wide|narrow|WxH>   target screen of generated interfaces
 //!   --snapshot-dir <path>        persist session snapshots here; resume after restart
@@ -140,10 +140,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                 Some(n) => config = config.with_threads(n),
                 None => return usage_error("--threads needs a number"),
             },
-            "--slice" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config = config.with_slice_iterations(n),
-                None => return usage_error("--slice needs a number"),
-            },
             "--max-sessions" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => config = config.with_max_sessions(n),
                 None => return usage_error("--max-sessions needs a number"),
@@ -192,9 +188,8 @@ fn serve_main(args: Vec<String>) -> ExitCode {
 
     let engine = ServeEngine::start(config);
     eprintln!(
-        "mctsui serve: {} scheduler threads, slice {} iterations, batch {}, {} shards, up to {} sessions",
+        "mctsui serve: {} scheduler threads, batch {}, {} shards, up to {} sessions",
         engine.config().threads,
-        engine.config().slice_iterations,
         engine.config().batch,
         engine.config().shards,
         engine.config().max_sessions
@@ -658,7 +653,7 @@ fn load_queries(options: &mut Options) -> Result<Vec<Ast>, String> {
 /// with no healthy query at all is an error.
 fn parse_query_log(text: &str) -> Result<Vec<Ast>, String> {
     let sources: Vec<&str> = split_statements(text).collect();
-    let log = mctsui::core::TriagedLog::from_sources(&sources);
+    let log = mctsui::core::LiveLog::from_sources(&sources);
     for d in log.diagnostics() {
         eprintln!(
             "warning: quarantined query {} at byte {}: {}",
