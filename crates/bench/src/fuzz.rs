@@ -7,7 +7,10 @@
 //! 1. **actions** — `RuleEngine::applicable` (incremental action index) against
 //!    `applicable_scan` (full-walk reference), on the initial and the saturated difftree.
 //! 2. **reward** — the compiled-skeleton reward path (`ContextCache::plan_for` +
-//!    `evaluate_sampled`) against the legacy build-a-widget-tree-per-assignment loop.
+//!    `evaluate_sampled`) against the legacy build-a-widget-tree-per-assignment loop, and
+//!    every cached plan — on the initial and the saturated difftree and along two seeded
+//!    200-step random walks, all through one warm `ContextCache` — against a cold
+//!    `QueryContext::compute` + `LayoutSkeleton::compile`, field by field.
 //! 3. **search** — a sliced resumable `SearchHandle` against the same handle run in one
 //!    shot, comparing reward bits, iteration/evaluation counts and tree size.
 //! 4. **serve** — the serving engine (one worker, batch 1) against a raw handle over the
@@ -40,8 +43,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mctsui_core::{graft_append, InterfaceGenerator, InterfaceSearchProblem, LiveLog};
-use mctsui_cost::{ContextCache, CostWeights, QueryContext};
-use mctsui_difftree::{initial_difftree, simplified_difftree, RuleEngine};
+use mctsui_cost::{ContextCache, CostWeights, EvalPlan, QueryContext};
+use mctsui_difftree::{initial_difftree, simplified_difftree, DiffTree, RuleEngine};
 use mctsui_mcts::{Budget, HandleSnapshot, SearchHandle, SliceBudget};
 use mctsui_serve::{BestReport, ServeConfig, ServeEngine};
 use mctsui_sql::{parse_query, parse_query_lenient, Ast};
@@ -263,16 +266,18 @@ fn oracle_actions(scenario: &Scenario) -> Result<(), String> {
 /// Oracle 2: for any fixed widget assignment, the compiled-skeleton slot evaluation must
 /// reproduce the reference path (build the widget tree, walk it with
 /// `evaluate_with_context`) bit-for-bit — on the initial and the saturated tree, for the
-/// greedy default plus several random assignments.
+/// greedy default plus several random assignments. Then every plan served by one warm
+/// [`ContextCache`] — the initial and saturated trees and every state of two seeded
+/// 200-step random walks — must equal a cold compile field by field ([`same_plan`]): the
+/// cache's per-choice-node slot templates are keyed by subtree fingerprint, and this is
+/// where a template reused across states would show.
 ///
 /// Note the two *samplers* are intentionally decorrelated (`per_sample_seed` vs the legacy
 /// `seed + i` stream), so `k > 0` rewards are only comparable per-assignment, never
 /// end-to-end across the samplers; at `k = 0` both paths reduce to the greedy default and
 /// [`is5_legacy_reward_eval`] / [`is5_skeleton_reward_eval`] themselves must agree.
 fn oracle_reward(scenario: &Scenario, seed: u64) -> Result<(), String> {
-    use mctsui_widgets::{
-        build_widget_tree, default_assignment, random_assignment, LayoutSkeleton,
-    };
+    use mctsui_widgets::{build_widget_tree, default_assignment, random_assignment};
 
     let engine = RuleEngine::default();
     let initial = initial_difftree(&scenario.queries);
@@ -307,17 +312,65 @@ fn oracle_reward(scenario: &Scenario, seed: u64) -> Result<(), String> {
                 "{label} k=0 default reward: legacy {legacy} vs skeleton {skeleton}"
             ));
         }
-        // A freshly compiled skeleton must agree with the cached plan's.
-        let fresh = LayoutSkeleton::compile(tree);
-        if fresh.widget_count() != plan.skeleton.widget_count() {
-            return Err(format!(
-                "{label}: fresh skeleton widget_count {} vs cached {}",
-                fresh.widget_count(),
-                plan.skeleton.widget_count()
-            ));
+        same_plan(&cache, tree, &scenario.queries).map_err(|e| format!("{label}: {e}"))?;
+    }
+    for walk in 0..2 {
+        for (step, tree) in seeded_walk(&engine, &initial, seed, walk)?
+            .iter()
+            .enumerate()
+        {
+            same_plan(&cache, tree, &scenario.queries)
+                .map_err(|e| format!("walk {walk} step {step}: {e}"))?;
         }
     }
     Ok(())
+}
+
+/// The plan `cache` serves for `tree` against a cold one: a fresh [`QueryContext::compute`]
+/// and a [`LayoutSkeleton::compile`](mctsui_widgets::LayoutSkeleton::compile) on a fresh
+/// template memo, compared field by field with floats by bits.
+fn same_plan(cache: &ContextCache, tree: &DiffTree, queries: &[Ast]) -> Result<(), String> {
+    let cold = EvalPlan::new(
+        Arc::new(QueryContext::compute(tree, queries)),
+        Arc::new(mctsui_widgets::LayoutSkeleton::compile(tree)),
+    );
+    match cache.plan_for(tree).first_difference(&cold) {
+        Some(diff) => Err(format!("cached plan vs cold compile: {diff}")),
+        None => Ok(()),
+    }
+}
+
+/// Length of the seeded random walks of the reward and express rungs.
+const WALK_STEPS: usize = 200;
+
+/// The states of seeded random walk `walk` from `initial`: up to [`WALK_STEPS`] steps, each
+/// applying a uniformly random applicable rule the way a rollout does (so the states reach
+/// the inverse-rule-grown trees the search evaluates). Stops early at a state with no
+/// applicable rule.
+fn seeded_walk(
+    engine: &RuleEngine,
+    initial: &DiffTree,
+    seed: u64,
+    walk: u64,
+) -> Result<Vec<DiffTree>, String> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed ^ (walk + 1).wrapping_mul(0x5DEE_CE66_D1CE_4E5B));
+    let mut states: Vec<DiffTree> = Vec::with_capacity(WALK_STEPS);
+    for step in 0..WALK_STEPS {
+        let tree = states.last().unwrap_or(initial);
+        let count = engine.count_applicable(tree);
+        if count == 0 {
+            break;
+        }
+        let next = engine
+            .nth_applicable(tree, rng.gen_range(0..count))
+            .and_then(|app| engine.apply(tree, &app))
+            .ok_or_else(|| format!("walk {walk} step {step}: an applicable rule failed"))?;
+        states.push(next);
+    }
+    Ok(states)
 }
 
 fn fuzz_problem(scenario: &Scenario) -> Arc<InterfaceSearchProblem> {
@@ -735,9 +788,7 @@ const EXPRESS_REFERENCE_WORK: u64 = 200_000;
 /// is warm across states the way the search uses it; the reference runs cold every time.
 fn oracle_express(scenario: &Scenario, seed: u64) -> Result<usize, String> {
     use mctsui_difftree::derive::express_enumerating;
-    use mctsui_difftree::{DiffTree, Expressor};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mctsui_difftree::Expressor;
 
     let queries: Arc<[mctsui_sql::Ast]> = Arc::from(scenario.queries.clone());
     let mut skipped = 0;
@@ -775,25 +826,13 @@ fn oracle_express(scenario: &Scenario, seed: u64) -> Result<usize, String> {
             )?;
         }
     }
-    for walk in 0..2u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ (walk + 1).wrapping_mul(0x5DEE_CE66_D1CE_4E5B));
+    for walk in 0..2 {
         let mut expressor = Expressor::new(Arc::clone(&queries));
-        let mut tree = initial.clone();
-        for step in 0..200 {
-            let count = engine.count_applicable(&tree);
-            if count == 0 {
-                break;
-            }
-            let Some(next) = engine
-                .nth_applicable(&tree, rng.gen_range(0..count))
-                .and_then(|app| engine.apply(&tree, &app))
-            else {
-                return Err(format!(
-                    "walk {walk} step {step}: an applicable rule failed"
-                ));
-            };
-            tree = next;
-            compare(&mut expressor, &tree, &format!("walk {walk} step {step}"))?;
+        for (step, tree) in seeded_walk(&engine, &initial, seed, walk)?
+            .iter()
+            .enumerate()
+        {
+            compare(&mut expressor, tree, &format!("walk {walk} step {step}"))?;
         }
     }
     Ok(skipped)

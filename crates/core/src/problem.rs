@@ -308,6 +308,10 @@ mod tests {
         };
         let first = run();
         assert!(first.chart_entries > 0 && first.chart_hits > 0);
+        assert!(
+            first.templates.hits > 0 && first.templates.misses > 0,
+            "states share choice nodes, and each distinct one is resolved once"
+        );
         assert_eq!(
             first.cold_contexts, 0,
             "a sequential search never runs cold"

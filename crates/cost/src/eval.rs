@@ -17,7 +17,9 @@ use mctsui_difftree::{
 };
 use mctsui_sql::Ast;
 use mctsui_widgets::widget::appropriateness_cost;
-use mctsui_widgets::{LayoutSkeleton, Screen, SlotAssignment, Widget, WidgetTree, WidgetType};
+use mctsui_widgets::{
+    LayoutSkeleton, Screen, SlotAssignment, SlotTemplates, Widget, WidgetTree, WidgetType,
+};
 
 use crate::model::{CostWeights, InterfaceCost};
 
@@ -91,18 +93,21 @@ impl QueryContext {
 /// Cap on expressibility chart entries before the chart is dropped and rebuilt.
 const MEMO_TRIM_THRESHOLD: usize = 1 << 21;
 
-/// Default capacity (resident per-state entries) of the context and plan caches.
+/// Default capacity (resident entries) of the context, plan and slot-template caches.
 pub const CONTEXT_DEFAULT_CAPACITY: usize = 1 << 17;
 
-/// Counter snapshots of the two per-state caches and of the expressibility work behind
-/// them (surfaced through serving stats). For a sequential search the work counts repeat
-/// exactly, on any host.
+/// Counter snapshots of the two per-state caches, of the slot-template memo behind the plan
+/// cache and of the expressibility work behind the context cache (surfaced through serving
+/// stats). For a sequential search the work counts repeat exactly, on any host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContextCacheStats {
     /// Counters of the per-state [`QueryContext`] cache.
     pub contexts: CacheCounters,
     /// Counters of the compiled [`EvalPlan`] cache.
     pub plans: CacheCounters,
+    /// Counters of the per-choice-node [`SlotTemplates`] memo: a hit is a choice slot
+    /// copied from an earlier compile, a miss one whose widgets were resolved.
+    pub templates: CacheCounters,
     /// Expressibility chart entries built, on the shared and on cold charts.
     pub chart_entries: u64,
     /// Expressibility chart lookups answered by an existing entry.
@@ -118,6 +123,7 @@ impl ContextCacheStats {
         ContextCacheStats {
             contexts: self.contexts.merged(&other.contexts),
             plans: self.plans.merged(&other.plans),
+            templates: self.templates.merged(&other.templates),
             chart_entries: self.chart_entries + other.chart_entries,
             chart_hits: self.chart_hits + other.chart_hits,
             cold_contexts: self.cold_contexts + other.cold_contexts,
@@ -137,9 +143,13 @@ impl ContextCacheStats {
 ///    with its predecessor, so only chart entries through the changed region are
 ///    computed; the rest is looked up, and one witness per query is built from it.
 ///
-/// Both per-state caches are bounded [`GenerationCache`]s (second-chance generational
+/// Plans are compiled through a third memo, the [`SlotTemplates`] of every choice node seen
+/// so far, so a new state resolves widgets only for the choice nodes it is the first to
+/// contain.
+///
+/// All three caches are bounded [`GenerationCache`]s (second-chance generational
 /// eviction), so a long-lived serving process keeps its live working set warm while cold
-/// states age out; [`ContextCache::stats`] reports their hit/miss/eviction counters.
+/// entries age out; [`ContextCache::stats`] reports their hit/miss/eviction counters.
 pub struct ContextCache {
     queries: Arc<[Ast]>,
     /// `None` while a worker has the shared expressor checked out for a computation.
@@ -148,6 +158,8 @@ pub struct ContextCache {
     /// Compiled evaluation plans (layout skeleton + transition tables), keyed like
     /// `contexts` by the tree's structural fingerprint.
     plans: GenerationCache<Arc<EvalPlan>>,
+    /// Compiled choice slots keyed by choice-node fingerprint, shared by every plan.
+    templates: SlotTemplates,
     /// Work counts reported by [`ContextCache::stats`] (see [`ContextCacheStats`]).
     chart_entries: AtomicU64,
     chart_hits: AtomicU64,
@@ -160,20 +172,21 @@ impl ContextCache {
         Self::with_capacity(queries, CONTEXT_DEFAULT_CAPACITY)
     }
 
-    /// [`ContextCache::new`] with an explicit bound on resident per-state entries (applied
-    /// to the context cache and the plan cache independently).
+    /// [`ContextCache::new`] with an explicit bound on resident entries (applied to the
+    /// context, plan and slot-template caches independently).
     pub fn with_capacity(queries: Arc<[Ast]>, capacity: usize) -> Self {
         Self::with_capacity_and_shards(queries, capacity, mctsui_difftree::DEFAULT_CACHE_SHARDS)
     }
 
-    /// [`ContextCache::with_capacity`] with an explicit shard count for the two per-state
-    /// caches — serving processes with many workers raise it to spread lock pressure.
+    /// [`ContextCache::with_capacity`] with an explicit shard count for the three caches —
+    /// serving processes with many workers raise it to spread lock pressure.
     pub fn with_capacity_and_shards(queries: Arc<[Ast]>, capacity: usize, shards: usize) -> Self {
         Self {
             queries: Arc::clone(&queries),
             expressor: Mutex::new(Some(Expressor::new(queries))),
             contexts: GenerationCache::with_shards(capacity, shards),
             plans: GenerationCache::with_shards(capacity, shards),
+            templates: SlotTemplates::with_shards(capacity, shards),
             chart_entries: AtomicU64::new(0),
             chart_hits: AtomicU64::new(0),
             cold_contexts: AtomicU64::new(0),
@@ -230,7 +243,8 @@ impl ContextCache {
     }
 
     /// The (cached) evaluation plan of a difftree state: its [`QueryContext`] joined with
-    /// its compiled [`LayoutSkeleton`] and the precomputed transition tables.
+    /// its compiled [`LayoutSkeleton`] and the precomputed transition tables. The skeleton
+    /// is compiled through the shared [`SlotTemplates`] memo.
     ///
     /// Same discipline as [`ContextCache::context_for`]: the lock is never held across the
     /// compile, so concurrent evaluations overlap freely and the first finished plan for a
@@ -242,19 +256,20 @@ impl ContextCache {
         }
 
         let ctx = self.context_for(tree);
-        let skeleton = Arc::new(LayoutSkeleton::compile(tree));
+        let skeleton = Arc::new(LayoutSkeleton::compile_with(tree, &self.templates));
         let plan = Arc::new(EvalPlan::new(ctx, skeleton));
 
         // A concurrent worker may have compiled the same state; keep the first entry.
         self.plans.insert(key, plan)
     }
 
-    /// Hit/miss/eviction counters of the context and plan caches and the expressibility
-    /// work counts (for serving stats).
+    /// Hit/miss/eviction counters of the context, plan and slot-template caches and the
+    /// expressibility work counts (for serving stats).
     pub fn stats(&self) -> ContextCacheStats {
         ContextCacheStats {
             contexts: self.contexts.counters(),
             plans: self.plans.counters(),
+            templates: self.templates.counters(),
             chart_entries: self.chart_entries.load(Ordering::Relaxed),
             chart_hits: self.chart_hits.load(Ordering::Relaxed),
             cold_contexts: self.cold_contexts.load(Ordering::Relaxed),
@@ -397,12 +412,13 @@ impl EvalPlan {
         let mut efforts = Vec::new();
         let mut effort_offsets = Vec::with_capacity(skeleton.choice_slots().len());
         for slot in skeleton.choice_slots() {
+            let template = &slot.template;
             effort_offsets.push(efforts.len() as u32);
-            for cand in &slot.candidates {
+            for cand in &template.candidates {
                 efforts.push(interaction_effort_features(
                     cand.widget_type,
-                    slot.cardinality,
-                    slot.mean_subtree_size,
+                    template.cardinality,
+                    template.mean_subtree_size,
                 ));
             }
         }
@@ -439,6 +455,38 @@ impl EvalPlan {
     #[inline]
     fn effort(&self, slot: u32, candidate: usize) -> f64 {
         self.efforts[self.effort_offsets[slot as usize] as usize + candidate]
+    }
+
+    /// The first field in which `self` and `other` differ — the query context, the skeleton
+    /// ([`LayoutSkeleton::first_difference`]) and the transition tables, floats compared by
+    /// bits — or `None` when the two plans are identical. Differential checks compare
+    /// cached plans against cold compiles with it.
+    pub fn first_difference(&self, other: &EvalPlan) -> Option<String> {
+        if self.ctx != other.ctx {
+            return Some("query contexts differ".to_string());
+        }
+        if let Some(diff) = self.skeleton.first_difference(&other.skeleton) {
+            return Some(format!("skeleton: {diff}"));
+        }
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let tables = |plan: &EvalPlan| {
+            (
+                plan.transitions_valid,
+                bits(&plan.nav_per_transition),
+                plan.changed_slots.clone(),
+                bits(&plan.efforts),
+                plan.effort_offsets.clone(),
+            )
+        };
+        if tables(self) != tables(other) {
+            return Some(format!(
+                "transition tables (valid, navigation, changed slots, efforts, offsets) \
+                 {:?} vs {:?}",
+                tables(self),
+                tables(other)
+            ));
+        }
+        None
     }
 
     /// The assignment-independent navigation term: the same left-to-right fold
@@ -519,8 +567,9 @@ fn evaluate_slots_hoisted(
     // M(w): appropriateness, pre-resolved per candidate, summed in widget order.
     let mut appropriateness = 0.0;
     for (i, slot) in plan.skeleton.choice_slots().iter().enumerate() {
-        let idx = slots.choice(i).min(slot.candidates.len() - 1);
-        let m = slot.candidates[idx].appropriateness;
+        let candidates = &slot.template.candidates;
+        let idx = slots.choice(i).min(candidates.len() - 1);
+        let m = candidates[idx].appropriateness;
         if !m.is_finite() {
             return InterfaceCost::invalid();
         }
@@ -535,9 +584,10 @@ fn evaluate_slots_hoisted(
     // interaction term is a table lookup per changed slot, in transition order.
     let mut interaction = 0.0;
     for &slot in &plan.changed_slots {
-        let idx = slots
-            .choice(slot as usize)
-            .min(plan.skeleton.choice_slots()[slot as usize].candidates.len() - 1);
+        let candidates = &plan.skeleton.choice_slots()[slot as usize]
+            .template
+            .candidates;
+        let idx = slots.choice(slot as usize).min(candidates.len() - 1);
         interaction += plan.effort(slot, idx);
     }
 

@@ -58,7 +58,8 @@ pub struct ChoiceDomain {
     pub labels: Vec<String>,
     /// Numeric values of the options when `value_kind == Numeric`, sorted ascending.
     pub numeric_values: Vec<f64>,
-    /// Length in characters of the longest option label.
+    /// Length in bytes (`String::len`) of the longest option label. Widget sizes are
+    /// computed from it, so a label truncated to 39 characters plus `…` counts 42.
     pub max_label_len: usize,
     /// Mean node count of the alternatives (1 for plain literals).
     pub mean_subtree_size: f64,
@@ -69,77 +70,83 @@ impl ChoiceDomain {
     ///
     /// Returns `None` if the node at `path` is not a choice node.
     pub fn from_node(path: DiffPath, node: &DiffNode) -> Option<ChoiceDomain> {
-        if !node.is_choice() {
-            return None;
-        }
+        let labels: Vec<String> = option_labels(node)?
+            .iter()
+            .map(OptionLabel::render)
+            .collect();
+        let max_label_len = labels.iter().map(String::len).max().unwrap_or(0);
+        Some(ChoiceDomain {
+            labels,
+            ..Self::features(path, node, max_label_len)
+        })
+    }
+
+    /// [`ChoiceDomain::from_node`] without rendering the labels: `labels` is left empty, and
+    /// `max_label_len` comes from `label_len`, which must return the byte length of an
+    /// alternative's rendered label (callers memoize it by the alternative's fingerprint).
+    /// Every other field equals `from_node`'s, so widget sizes and costs computed from the
+    /// two agree.
+    pub fn without_labels(
+        path: DiffPath,
+        node: &DiffNode,
+        mut label_len: impl FnMut(&DiffNode) -> usize,
+    ) -> Option<ChoiceDomain> {
+        let max_label_len = option_labels(node)?
+            .iter()
+            .map(|label| match label {
+                OptionLabel::Alternative(alt) => label_len(alt),
+                OptionLabel::Fixed(text) => text.len(),
+            })
+            .max()
+            .unwrap_or(0);
+        Some(Self::features(path, node, max_label_len))
+    }
+
+    /// The byte length of the label [`ChoiceDomain::from_node`] renders for `alternative`.
+    pub fn label_len(alternative: &DiffNode) -> usize {
+        render_option(alternative).len()
+    }
+
+    /// Every field of the choice node's domain but the labels.
+    fn features(path: DiffPath, node: &DiffNode, max_label_len: usize) -> ChoiceDomain {
+        let children = node.children();
+        let domain = |cardinality, value_kind, numeric_values, mean_subtree_size| ChoiceDomain {
+            path,
+            choice_kind: node.kind(),
+            cardinality,
+            value_kind,
+            labels: Vec::new(),
+            numeric_values,
+            max_label_len,
+            mean_subtree_size,
+        };
+        let first_size = children.first().map_or(0.0, |c| c.size() as f64);
         match node.kind() {
-            DiffKind::Any => {
-                let labels: Vec<String> = node.children().iter().map(render_option).collect();
-                let numeric_values = numeric_values_of(node.children());
-                let all_leaf_literals = node.children().iter().all(is_scalar_option);
-                let value_kind = if numeric_values.len() == node.children().len()
-                    && !numeric_values.is_empty()
-                {
-                    DomainValueKind::Numeric
-                } else if all_leaf_literals {
-                    DomainValueKind::Categorical
-                } else {
-                    DomainValueKind::Subtree
-                };
-                let mean_subtree_size = if node.children().is_empty() {
+            DiffKind::Opt => domain(2, DomainValueKind::Boolean, Vec::new(), first_size),
+            // Nominal repetition range 0..=4 presented to the user.
+            DiffKind::Multi => domain(5, DomainValueKind::Repetition, Vec::new(), first_size),
+            _ => {
+                let numeric_values = numeric_values_of(children);
+                let value_kind =
+                    if numeric_values.len() == children.len() && !numeric_values.is_empty() {
+                        DomainValueKind::Numeric
+                    } else if children.iter().all(is_scalar_option) {
+                        DomainValueKind::Categorical
+                    } else {
+                        DomainValueKind::Subtree
+                    };
+                let mean_subtree_size = if children.is_empty() {
                     0.0
                 } else {
-                    node.children().iter().map(|c| c.size() as f64).sum::<f64>()
-                        / node.children().len() as f64
+                    children.iter().map(|c| c.size() as f64).sum::<f64>() / children.len() as f64
                 };
-                Some(ChoiceDomain {
-                    path,
-                    choice_kind: DiffKind::Any,
-                    cardinality: node.children().len(),
+                domain(
+                    children.len(),
                     value_kind,
-                    max_label_len: labels.iter().map(String::len).max().unwrap_or(0),
-                    labels,
                     numeric_values,
                     mean_subtree_size,
-                })
+                )
             }
-            DiffKind::Opt => {
-                let child_label = node
-                    .children()
-                    .first()
-                    .map(render_option)
-                    .unwrap_or_default();
-                let labels = vec![child_label.clone(), "(none)".to_string()];
-                Some(ChoiceDomain {
-                    path,
-                    choice_kind: DiffKind::Opt,
-                    cardinality: 2,
-                    value_kind: DomainValueKind::Boolean,
-                    max_label_len: labels.iter().map(String::len).max().unwrap_or(0),
-                    labels,
-                    numeric_values: Vec::new(),
-                    mean_subtree_size: node.children().first().map_or(0.0, |c| c.size() as f64),
-                })
-            }
-            DiffKind::Multi => {
-                let child_label = node
-                    .children()
-                    .first()
-                    .map(render_option)
-                    .unwrap_or_default();
-                Some(ChoiceDomain {
-                    path,
-                    choice_kind: DiffKind::Multi,
-                    // Nominal repetition range 0..=4 presented to the user.
-                    cardinality: 5,
-                    value_kind: DomainValueKind::Repetition,
-                    max_label_len: child_label.len(),
-                    labels: vec![child_label],
-                    numeric_values: Vec::new(),
-                    mean_subtree_size: node.children().first().map_or(0.0, |c| c.size() as f64),
-                })
-            }
-            DiffKind::All => None,
         }
     }
 
@@ -187,6 +194,44 @@ fn numeric_values_of(children: &[DiffNode]) -> Vec<f64> {
         .collect();
     vals.sort_by(|a, b| a.total_cmp(b));
     vals
+}
+
+/// The label of one option of a choice node.
+enum OptionLabel<'a> {
+    /// The rendering of an alternative subtree.
+    Alternative(&'a DiffNode),
+    /// A fixed text.
+    Fixed(&'static str),
+}
+
+impl OptionLabel<'_> {
+    fn render(&self) -> String {
+        match self {
+            OptionLabel::Alternative(alt) => render_option(alt),
+            OptionLabel::Fixed(text) => text.to_string(),
+        }
+    }
+}
+
+/// The labels of a choice node's options, in order: one per alternative of an `ANY`, the
+/// child and `(none)` for an `OPT`, the repeated child for a `MULTI`. `None` for an `ALL`.
+fn option_labels(node: &DiffNode) -> Option<Vec<OptionLabel<'_>>> {
+    let first = || {
+        node.children()
+            .first()
+            .map_or(OptionLabel::Fixed(""), OptionLabel::Alternative)
+    };
+    match node.kind() {
+        DiffKind::Any => Some(
+            node.children()
+                .iter()
+                .map(OptionLabel::Alternative)
+                .collect(),
+        ),
+        DiffKind::Opt => Some(vec![first(), OptionLabel::Fixed("(none)")]),
+        DiffKind::Multi => Some(vec![first()]),
+        DiffKind::All => None,
+    }
 }
 
 /// Render an alternative as a short human-readable label.
@@ -338,6 +383,39 @@ mod tests {
         assert_eq!(domains.len(), 2);
         assert_eq!(domains[0].choice_kind, DiffKind::Any);
         assert_eq!(domains[1].choice_kind, DiffKind::Opt);
+    }
+
+    #[test]
+    fn domains_without_labels_keep_every_sizing_field() {
+        let q1 = q("SELECT Sales FROM sales WHERE cty = 'USA'");
+        let long = "x".repeat(100);
+        let nodes = [
+            DiffNode::any(vec![num_leaf(10), num_leaf(100), num_leaf(1000)]),
+            DiffNode::any(vec![str_leaf(&long), str_leaf("y"), DiffNode::empty()]),
+            DiffNode::any(vec![
+                DiffNode::from_ast(&q1),
+                DiffNode::any(vec![str_leaf("a")]),
+            ]),
+            DiffNode::any(Vec::new()),
+            DiffNode::opt(DiffNode::from_ast(&q1.children()[2])),
+            DiffNode::opt(str_leaf("a")),
+            DiffNode::multi(DiffNode::from_ast(&q1.children()[1].children()[0])),
+        ];
+        for node in &nodes {
+            let full = ChoiceDomain::from_node(DiffPath(vec![1]), node).unwrap();
+            let sized =
+                ChoiceDomain::without_labels(DiffPath(vec![1]), node, ChoiceDomain::label_len)
+                    .unwrap();
+            assert!(sized.labels.is_empty());
+            assert_eq!(
+                ChoiceDomain {
+                    labels: full.labels.clone(),
+                    ..sized
+                },
+                full
+            );
+        }
+        assert!(ChoiceDomain::without_labels(DiffPath::root(), &num_leaf(1), |_| 0).is_none());
     }
 
     #[test]

@@ -95,12 +95,30 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
+    /// Consume the current token and move it out: the parser never backtracks. The final
+    /// `Eof` is never consumed, so `peek` keeps returning it.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.pos < last {
+            let slot = &mut self.tokens[self.pos];
+            let placeholder = Token {
+                kind: TokenKind::Eof,
+                offset: slot.offset,
+            };
             self.pos += 1;
+            std::mem::replace(slot, placeholder)
+        } else {
+            self.tokens[last].clone()
         }
-        t
+    }
+
+    /// Consume the current identifier or string literal and move its text out (empty for
+    /// any other token; callers peek first).
+    fn advance_text(&mut self) -> String {
+        match self.advance().kind {
+            TokenKind::Ident(text) | TokenKind::Str(text) => text,
+            _ => String::new(),
+        }
     }
 
     fn error_here(&self, msg: impl Into<String>) -> ParseError {
@@ -269,9 +287,9 @@ impl Parser {
                 }
                 _ => return Err(self.error_here("expected alias name after AS")),
             }
-        } else if let TokenKind::Ident(name) = self.peek().kind.clone() {
+        } else if matches!(self.peek().kind, TokenKind::Ident(_)) {
             // Bare alias: `SELECT count(*) n FROM ...`
-            self.advance();
+            let name = self.advance_text();
             children.push(Ast::leaf_with(NodeKind::Alias, Literal::str(name)));
         }
         Ok(Ast::new(NodeKind::ProjItem, children))
@@ -463,8 +481,7 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Ast> {
-        let token = self.peek().clone();
-        match token.kind {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.advance();
                 Ok(Ast::leaf_with(NodeKind::NumExpr, Literal::int(v)))
@@ -473,19 +490,19 @@ impl Parser {
                 self.advance();
                 Ok(Ast::leaf_with(NodeKind::NumExpr, Literal::float(v)))
             }
-            TokenKind::Str(s) => {
-                self.advance();
+            TokenKind::Str(_) => {
+                let s = self.advance_text();
                 Ok(Ast::leaf_with(NodeKind::StrExpr, Literal::str(s)))
             }
-            TokenKind::Keyword(ref k) if k == "NULL" => {
+            TokenKind::Keyword("NULL") => {
                 self.advance();
                 Ok(Ast::leaf(NodeKind::NullExpr))
             }
-            TokenKind::Symbol(ref s) if s == "*" => {
+            TokenKind::Symbol("*") => {
                 self.advance();
                 Ok(Ast::leaf(NodeKind::Star))
             }
-            TokenKind::Symbol(ref s) if s == "(" => {
+            TokenKind::Symbol("(") => {
                 self.advance();
                 // A parenthesised `SELECT` in expression position is a scalar subquery.
                 if self.peek().is_keyword("SELECT") {
@@ -497,7 +514,7 @@ impl Parser {
                 self.expect_symbol(")")?;
                 Ok(inner)
             }
-            TokenKind::Symbol(ref s) if s == "-" => {
+            TokenKind::Symbol("-") => {
                 self.advance();
                 let inner = self.parse_primary()?;
                 Ok(Ast::with_value(
@@ -506,8 +523,8 @@ impl Parser {
                     vec![inner],
                 ))
             }
-            TokenKind::Ident(name) => {
-                self.advance();
+            TokenKind::Ident(_) => {
+                let name = self.advance_text();
                 if self.eat_symbol("(") {
                     // Function call.
                     let mut args = Vec::new();
@@ -758,14 +775,13 @@ impl Parser {
     fn sync_to_clause_boundary(&mut self, stop_at_comma: bool) {
         let mut depth = 0usize;
         loop {
-            let kind = self.peek().kind.clone();
-            match kind {
+            match self.peek().kind {
                 TokenKind::Eof => return,
-                TokenKind::Symbol(ref s) if s == "(" => {
+                TokenKind::Symbol("(") => {
                     depth += 1;
                     self.advance();
                 }
-                TokenKind::Symbol(ref s) if s == ")" => {
+                TokenKind::Symbol(")") => {
                     if depth == 0 {
                         // An unmatched closer: consume it as junk and keep scanning.
                         self.advance();
@@ -777,14 +793,9 @@ impl Parser {
                 _ if depth > 0 => {
                     self.advance();
                 }
-                TokenKind::Symbol(ref s) if s == ";" => return,
-                TokenKind::Symbol(ref s) if s == "," && stop_at_comma => return,
-                TokenKind::Keyword(ref k)
-                    if matches!(
-                        k.as_str(),
-                        "FROM" | "WHERE" | "GROUP" | "HAVING" | "ORDER" | "LIMIT"
-                    ) =>
-                {
+                TokenKind::Symbol(";") => return,
+                TokenKind::Symbol(",") if stop_at_comma => return,
+                TokenKind::Keyword("FROM" | "WHERE" | "GROUP" | "HAVING" | "ORDER" | "LIMIT") => {
                     return
                 }
                 _ => {
@@ -799,23 +810,21 @@ impl Parser {
     fn sync_to_cte_boundary(&mut self) {
         let mut depth = 0usize;
         loop {
-            let kind = self.peek().kind.clone();
-            match kind {
+            match self.peek().kind {
                 TokenKind::Eof => return,
-                TokenKind::Symbol(ref s) if s == "(" => {
+                TokenKind::Symbol("(") => {
                     depth += 1;
                     self.advance();
                 }
-                TokenKind::Symbol(ref s) if s == ")" => {
+                TokenKind::Symbol(")") => {
                     depth = depth.saturating_sub(1);
                     self.advance();
                 }
                 _ if depth > 0 => {
                     self.advance();
                 }
-                TokenKind::Symbol(ref s) if s == ";" => return,
-                TokenKind::Symbol(ref s) if s == "," => return,
-                TokenKind::Keyword(ref k) if k == "SELECT" => return,
+                TokenKind::Symbol(";" | ",") => return,
+                TokenKind::Keyword("SELECT") => return,
                 _ => {
                     self.advance();
                 }
@@ -973,6 +982,26 @@ mod tests {
         let sql = "select x from t where ???";
         let err = parse_query(sql).unwrap_err();
         assert!(err.offset <= sql.len());
+    }
+
+    #[test]
+    fn error_offsets_are_bytes_after_non_ascii_text() {
+        // `ü` is two bytes: the `@` is character 35 but byte 36.
+        let sql = "select x from t where c = 'Zürich' @ 1";
+        assert_eq!(&sql[36..37], "@");
+        let err = parse_query(sql).unwrap_err();
+        assert_eq!(err.offset, 36);
+        assert!(
+            err.to_string().starts_with("parse error at byte 36:"),
+            "{err}"
+        );
+        let lenient = parse_query_lenient(sql);
+        let at = lenient
+            .errors
+            .iter()
+            .find(|e| e.message.contains('@'))
+            .expect("the stray `@` is diagnosed");
+        assert_eq!(at.offset, 36);
     }
 
     #[test]

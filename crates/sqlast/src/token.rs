@@ -1,6 +1,7 @@
 //! Tokenizer for the analysis-SQL subset.
 //!
-//! The lexer is deliberately small and allocation-light: keywords are case-insensitive,
+//! The lexer is deliberately small and allocation-light: it scans the input by byte offset,
+//! allocates only for identifiers and string literals, keywords are case-insensitive,
 //! identifiers keep their original spelling, string literals accept single or double
 //! quotes, and numbers are classified as integers or floats.
 
@@ -9,8 +10,8 @@ use crate::error::{ParseError, Result};
 /// The category of a [`Token`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
-    /// A SQL keyword (stored upper-cased), e.g. `SELECT`, `WHERE`, `BETWEEN`.
-    Keyword(String),
+    /// A SQL keyword (the upper-case entry of [`KEYWORDS`]), e.g. `SELECT`, `WHERE`.
+    Keyword(&'static str),
     /// An identifier such as a column or table name (original spelling preserved).
     Ident(String),
     /// An integer literal.
@@ -20,7 +21,7 @@ pub enum TokenKind {
     /// A quoted string literal (quotes stripped).
     Str(String),
     /// An operator or punctuation symbol, e.g. `=`, `<=`, `(`, `,`, `*`.
-    Symbol(String),
+    Symbol(&'static str),
     /// A span the lexer could not tokenize; the payload is the diagnostic message.
     ///
     /// Only produced by `tokenize_lenient` — the strict `tokenize` turns the first
@@ -46,12 +47,12 @@ impl Token {
 
     /// True if the token is the given keyword (case-insensitive at lex time).
     pub(crate) fn is_keyword(&self, kw: &str) -> bool {
-        matches!(&self.kind, TokenKind::Keyword(k) if k == kw)
+        matches!(self.kind, TokenKind::Keyword(k) if k == kw)
     }
 
     /// True if the token is the given symbol.
     pub(crate) fn is_symbol(&self, sym: &str) -> bool {
-        matches!(&self.kind, TokenKind::Symbol(s) if s == sym)
+        matches!(self.kind, TokenKind::Symbol(s) if s == sym)
     }
 }
 
@@ -61,12 +62,43 @@ pub const KEYWORDS: &[&str] = &[
     "BETWEEN", "IN", "LIKE", "IS", "NULL", "AS", "ASC", "DESC", "DISTINCT", "HAVING", "WITH",
 ];
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_'
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_'
 }
 
-fn is_ident_continue(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '.'
+fn is_ident_continue(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+}
+
+/// The operator or punctuation symbol starting with `first` (followed by `second`), and
+/// its length in bytes. Two-byte operators win over their one-byte prefixes.
+fn symbol_at(first: u8, second: Option<u8>) -> Option<(&'static str, usize)> {
+    let two = match (first, second) {
+        (b'<', Some(b'=')) => Some("<="),
+        (b'>', Some(b'=')) => Some(">="),
+        (b'<', Some(b'>')) => Some("<>"),
+        (b'!', Some(b'=')) => Some("!="),
+        _ => None,
+    };
+    if let Some(sym) = two {
+        return Some((sym, 2));
+    }
+    let one = match first {
+        b'=' => "=",
+        b'<' => "<",
+        b'>' => ">",
+        b'(' => "(",
+        b')' => ")",
+        b',' => ",",
+        b'*' => "*",
+        b'+' => "+",
+        b'-' => "-",
+        b'/' => "/",
+        b'%' => "%",
+        b';' => ";",
+        _ => return None,
+    };
+    Some((one, 1))
 }
 
 /// Tokenize the given SQL text into a vector of tokens terminated by [`TokenKind::Eof`].
@@ -88,33 +120,36 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
 /// Tokenize without ever failing: malformed spans become [`TokenKind::Error`] tokens
 /// carrying their diagnostic message, and scanning continues after them. The stream is
 /// still terminated by [`TokenKind::Eof`], so downstream recovery always has an anchor.
+///
+/// Offsets are byte offsets. Every token but a string literal's content or a stray
+/// character is ASCII, so the scan walks bytes and decodes a character only where a
+/// non-ASCII byte starts one outside a string (whitespace or an error).
 pub(crate) fn tokenize_lenient(input: &str) -> Vec<Token> {
-    let bytes: Vec<char> = input.chars().collect();
+    let bytes = input.as_bytes();
     let mut tokens = Vec::with_capacity(input.len() / 4 + 4);
     let mut i = 0usize;
 
     while i < bytes.len() {
-        let c = bytes[i];
-        if c.is_whitespace() {
+        let b = bytes[i];
+        if b.is_ascii() && (b as char).is_whitespace() {
             i += 1;
             continue;
         }
         let start = i;
-        if is_ident_start(c) {
+        if is_ident_start(b) {
             let mut j = i + 1;
             while j < bytes.len() && is_ident_continue(bytes[j]) {
                 j += 1;
             }
-            let word: String = bytes[i..j].iter().collect();
-            let upper = word.to_ascii_uppercase();
-            if KEYWORDS.contains(&upper.as_str()) {
-                tokens.push(Token::new(TokenKind::Keyword(upper), start));
-            } else {
-                tokens.push(Token::new(TokenKind::Ident(word), start));
-            }
+            let word = &input[i..j];
+            let kind = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                Some(keyword) => TokenKind::Keyword(keyword),
+                None => TokenKind::Ident(word.to_string()),
+            };
+            tokens.push(Token::new(kind, start));
             i = j;
-        } else if c.is_ascii_digit()
-            || (c == '.' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit())
+        } else if b.is_ascii_digit()
+            || (b == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit))
         {
             let mut j = i;
             let mut saw_dot = false;
@@ -123,88 +158,75 @@ pub(crate) fn tokenize_lenient(input: &str) -> Vec<Token> {
                 let d = bytes[j];
                 if d.is_ascii_digit() {
                     j += 1;
-                } else if d == '.' && !saw_dot && !saw_exp {
+                } else if d == b'.' && !saw_dot && !saw_exp {
                     saw_dot = true;
                     j += 1;
-                } else if (d == 'e' || d == 'E') && !saw_exp && j > i {
+                } else if (d == b'e' || d == b'E') && !saw_exp && j > i {
                     saw_exp = true;
                     j += 1;
-                    if j < bytes.len() && (bytes[j] == '+' || bytes[j] == '-') {
+                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
                         j += 1;
                     }
                 } else {
                     break;
                 }
             }
-            let text: String = bytes[i..j].iter().collect();
-            if saw_dot || saw_exp {
+            let text = &input[i..j];
+            let kind = if saw_dot || saw_exp {
                 match text.parse::<f64>() {
-                    Ok(value) => tokens.push(Token::new(TokenKind::Float(value), start)),
-                    Err(_) => tokens.push(Token::new(
-                        TokenKind::Error(format!("invalid float literal `{text}`")),
-                        start,
-                    )),
+                    Ok(value) => TokenKind::Float(value),
+                    Err(_) => TokenKind::Error(format!("invalid float literal `{text}`")),
                 }
             } else {
                 match text.parse::<i64>() {
-                    Ok(value) => tokens.push(Token::new(TokenKind::Int(value), start)),
-                    Err(_) => tokens.push(Token::new(
-                        TokenKind::Error(format!("invalid integer literal `{text}`")),
-                        start,
-                    )),
+                    Ok(value) => TokenKind::Int(value),
+                    Err(_) => TokenKind::Error(format!("invalid integer literal `{text}`")),
                 }
-            }
+            };
+            tokens.push(Token::new(kind, start));
             i = j;
-        } else if c == '\'' || c == '"' {
-            let quote = c;
+        } else if b == b'\'' || b == b'"' {
+            // The quote is ASCII, so a byte equal to it is never part of a multi-byte
+            // character: the literal is the text between quote bytes.
+            let quote = b;
             let mut j = i + 1;
+            let mut segment = j;
             let mut value = String::new();
             let mut closed = false;
             while j < bytes.len() {
                 if bytes[j] == quote {
+                    value.push_str(&input[segment..j]);
                     // Doubled quote is an escaped quote character.
-                    if j + 1 < bytes.len() && bytes[j + 1] == quote {
-                        value.push(quote);
+                    if bytes.get(j + 1) == Some(&quote) {
+                        value.push(quote as char);
                         j += 2;
+                        segment = j;
                         continue;
                     }
                     closed = true;
                     j += 1;
                     break;
                 }
-                value.push(bytes[j]);
                 j += 1;
             }
-            if closed {
-                tokens.push(Token::new(TokenKind::Str(value), start));
+            let kind = if closed {
+                TokenKind::Str(value)
             } else {
+                TokenKind::Error("unterminated string literal".to_string())
+            };
+            tokens.push(Token::new(kind, start));
+            i = j;
+        } else if let Some((symbol, len)) = symbol_at(b, bytes.get(i + 1).copied()) {
+            tokens.push(Token::new(TokenKind::Symbol(symbol), start));
+            i += len;
+        } else {
+            let c = input[i..].chars().next().expect("i is a char boundary");
+            i += c.len_utf8();
+            if !c.is_whitespace() {
                 tokens.push(Token::new(
-                    TokenKind::Error("unterminated string literal".to_string()),
+                    TokenKind::Error(format!("unexpected character `{c}`")),
                     start,
                 ));
-            }
-            i = j;
-        } else {
-            // Multi-char operators first.
-            let two: String = bytes[i..bytes.len().min(i + 2)].iter().collect();
-            match two.as_str() {
-                "<=" | ">=" | "<>" | "!=" => {
-                    i += 2;
-                    tokens.push(Token::new(TokenKind::Symbol(two), start));
-                }
-                _ => match c {
-                    '=' | '<' | '>' | '(' | ')' | ',' | '*' | '+' | '-' | '/' | '%' | ';' => {
-                        i += 1;
-                        tokens.push(Token::new(TokenKind::Symbol(c.to_string()), start));
-                    }
-                    _ => {
-                        i += 1;
-                        tokens.push(Token::new(
-                            TokenKind::Error(format!("unexpected character `{c}`")),
-                            start,
-                        ));
-                    }
-                },
             }
         }
     }
@@ -231,13 +253,13 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Keyword("SELECT".into()),
+                TokenKind::Keyword("SELECT"),
                 TokenKind::Ident("sales".into()),
-                TokenKind::Keyword("FROM".into()),
+                TokenKind::Keyword("FROM"),
                 TokenKind::Ident("sales".into()),
-                TokenKind::Keyword("WHERE".into()),
+                TokenKind::Keyword("WHERE"),
                 TokenKind::Ident("cty".into()),
-                TokenKind::Symbol("=".into()),
+                TokenKind::Symbol("="),
                 TokenKind::Str("USA".into()),
                 TokenKind::Eof,
             ]
@@ -247,8 +269,8 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive() {
         let ks = kinds("select Top 10 objid from stars");
-        assert!(matches!(ks[0], TokenKind::Keyword(ref k) if k == "SELECT"));
-        assert!(matches!(ks[1], TokenKind::Keyword(ref k) if k == "TOP"));
+        assert!(matches!(ks[0], TokenKind::Keyword("SELECT")));
+        assert!(matches!(ks[1], TokenKind::Keyword("TOP")));
         assert!(matches!(ks[2], TokenKind::Int(10)));
     }
 
@@ -271,10 +293,10 @@ mod tests {
     #[test]
     fn multi_char_operators() {
         let ks = kinds("a <= 3 AND b <> 4 OR c != 5 AND d >= 6");
-        assert!(ks.contains(&TokenKind::Symbol("<=".into())));
-        assert!(ks.contains(&TokenKind::Symbol("<>".into())));
-        assert!(ks.contains(&TokenKind::Symbol("!=".into())));
-        assert!(ks.contains(&TokenKind::Symbol(">=".into())));
+        assert!(ks.contains(&TokenKind::Symbol("<=")));
+        assert!(ks.contains(&TokenKind::Symbol("<>")));
+        assert!(ks.contains(&TokenKind::Symbol("!=")));
+        assert!(ks.contains(&TokenKind::Symbol(">=")));
     }
 
     #[test]
@@ -308,15 +330,33 @@ mod tests {
     }
 
     #[test]
+    fn offsets_are_bytes_and_unicode_whitespace_separates() {
+        // U+00A0 (two bytes) separates tokens like a space; `é` and `€` are strays.
+        let tokens = tokenize_lenient("x\u{a0}é 'ä'€");
+        let spans: Vec<(TokenKind, usize)> =
+            tokens.into_iter().map(|t| (t.kind, t.offset)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (TokenKind::Ident("x".into()), 0),
+                (TokenKind::Error("unexpected character `é`".into()), 3),
+                (TokenKind::Str("ä".into()), 6),
+                (TokenKind::Error("unexpected character `€`".into()), 10),
+                (TokenKind::Eof, 13),
+            ]
+        );
+    }
+
+    #[test]
     fn count_star_call() {
         let ks = kinds("count(*)");
         assert_eq!(
             ks,
             vec![
                 TokenKind::Ident("count".into()),
-                TokenKind::Symbol("(".into()),
-                TokenKind::Symbol("*".into()),
-                TokenKind::Symbol(")".into()),
+                TokenKind::Symbol("("),
+                TokenKind::Symbol("*"),
+                TokenKind::Symbol(")"),
                 TokenKind::Eof,
             ]
         );
@@ -334,10 +374,10 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                TokenKind::Keyword("SELECT".into()),
+                TokenKind::Keyword("SELECT"),
                 TokenKind::Error("unexpected character `@`".into()),
                 TokenKind::Ident("x".into()),
-                TokenKind::Keyword("FROM".into()),
+                TokenKind::Keyword("FROM"),
                 TokenKind::Ident("t".into()),
                 TokenKind::Eof,
             ]

@@ -16,8 +16,9 @@
 //!   seeded random (used inside MCTS rollouts) and bounded exhaustive enumeration (used for
 //!   the final interface extraction) ([`assign`]), and
 //! * the compiled layout-skeleton layer ([`skeleton`]): the difftree's widget-tree shape
-//!   flattened once into a post-order arena with per-choice candidate lists, so the search's
-//!   reward path evaluates plain index-vector assignments without rebuilding widget trees.
+//!   flattened once into a post-order arena with per-choice candidate lists (memoized per
+//!   choice node across states), so the search's reward path evaluates plain index-vector
+//!   assignments without rebuilding widget trees.
 
 pub mod assign;
 pub mod screen;
@@ -29,6 +30,8 @@ pub use assign::{
     best_widget_for, default_assignment, enumerate_assignments, random_assignment, WidgetChoiceMap,
 };
 pub use screen::Screen;
-pub use skeleton::{CandidateWidget, ChoiceSlot, LayoutSkeleton, SlotAssignment};
+pub use skeleton::{
+    CandidateWidget, ChoiceSlot, LayoutSkeleton, SlotAssignment, SlotTemplate, SlotTemplates,
+};
 pub use tree::{build_widget_tree, LayoutKind, WidgetNode, WidgetTree};
 pub use widget::{SizeClass, Widget, WidgetType};

@@ -9,9 +9,17 @@
 //!
 //! * the widget-tree nodes in **post-order** with per-node child counts, parent links and
 //!   depths (one flat `Vec`, no recursion at evaluation time),
-//! * per choice node, its [`CandidateWidget`] list — compatible widget types sorted by
-//!   appropriateness, each with its pixel box and `M(w)` already resolved,
+//! * per choice node, a shared [`SlotTemplate`]: its [`CandidateWidget`] list — compatible
+//!   widget types sorted by appropriateness, each with its pixel box and `M(w)` already
+//!   resolved — and the domain features of the interaction-effort term,
 //! * per grouping node, an orientation slot (or a fixed kind for `Adder` groups).
+//!
+//! A slot template depends only on the choice node's subtree, so compiles memoize templates
+//! by subtree fingerprint in a [`SlotTemplates`] memo: a search compiles thousands of
+//! states that share most of their choice nodes, and each distinct choice node's widgets
+//! are resolved once per memo, not once per state. The memo also keeps the byte length of
+//! each alternative's rendered label, so a new choice node over known alternatives renders
+//! no label at all; labels themselves stay out of the reward path.
 //!
 //! An assignment then shrinks from a `BTreeMap<DiffPath, WidgetType>` to a
 //! [`SlotAssignment`] — one plain `Vec<u8>` of indices — and a bounding-box/appropriateness
@@ -24,13 +32,17 @@
 //! [`WidgetTree`]: crate::tree::WidgetTree
 //! [`build_widget_tree`]: crate::tree::build_widget_tree
 
+use std::sync::Arc;
+
 use rand::Rng;
 
-use mctsui_difftree::{ChoiceDomain, DiffKind, DiffNode, DiffPath, DiffTree};
+use mctsui_difftree::{
+    CacheCounters, ChoiceDomain, DiffKind, DiffNode, DiffPath, DiffTree, GenerationCache,
+};
 
 use crate::assign::{compatible_widgets, WidgetChoiceMap};
 use crate::tree::{combine_boxes, LayoutKind};
-use crate::widget::{appropriateness_cost, widget_can_express, Widget, WidgetType};
+use crate::widget::{appropriateness_cost, widget_box, widget_can_express, WidgetType};
 
 /// Sentinel parent id of the root node.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -40,15 +52,18 @@ pub const NO_PARENT: u32 = u32::MAX;
 /// `slots_from_map` mirrors `orientation_for` (which returns stored kinds verbatim) exactly.
 const ORIENT_ADDER: u8 = 3;
 
+/// Capacity of the throwaway template memo behind [`LayoutSkeleton::compile`].
+const THROWAWAY_TEMPLATES: usize = 1 << 12;
+
 /// One widget type pre-resolved against a choice node's domain: its pixel box and
 /// appropriateness cost are computed once at compile time instead of per evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateWidget {
     /// The widget template.
     pub widget_type: WidgetType,
-    /// Pixel width (template-scaled, identical to [`Widget::width`]).
+    /// Pixel width (template-scaled, identical to [`Widget::width`](crate::Widget::width)).
     pub width: u32,
-    /// Pixel height (template-scaled, identical to [`Widget::height`]).
+    /// Pixel height (template-scaled, identical to [`Widget::height`](crate::Widget::height)).
     pub height: u32,
     /// The appropriateness cost `M(w)` of this pairing.
     pub appropriateness: f64,
@@ -56,39 +71,148 @@ pub struct CandidateWidget {
 
 impl CandidateWidget {
     fn resolve(widget_type: WidgetType, domain: &ChoiceDomain) -> Self {
-        let widget = Widget::new(widget_type, domain.clone());
+        let (width, height) = widget_box(widget_type, domain);
         Self {
             widget_type,
-            width: widget.width(),
-            height: widget.height(),
+            width,
+            height,
             appropriateness: appropriateness_cost(widget_type, domain),
         }
     }
 }
 
-/// A choice node's compiled slot: its candidate widgets plus the domain features the cost
-/// model's interaction-effort term needs.
+/// Everything a choice node's compiled slot holds apart from its position in one tree: its
+/// candidate widgets plus the domain features the cost model's interaction-effort term
+/// needs. A pure function of the choice node's subtree, memoized by its fingerprint in
+/// [`SlotTemplates`] and shared (`Arc`) by every skeleton containing that subtree.
 #[derive(Debug, Clone)]
-pub struct ChoiceSlot {
-    /// Path of the choice node in the difftree.
-    pub path: DiffPath,
-    /// Candidate widgets. The first [`ChoiceSlot::sampled`] entries are the *compatible*
+pub struct SlotTemplate {
+    /// Candidate widgets. The first [`SlotTemplate::sampled`] entries are the *compatible*
     /// widgets in appropriateness order (what random sampling draws from, index 0 being the
     /// greedy best); any remaining entries are other expressive types an explicit
     /// [`WidgetChoiceMap`] may name, kept so arbitrary maps stay representable.
     pub candidates: Vec<CandidateWidget>,
     /// Number of leading candidates eligible for random sampling.
     pub sampled: u8,
-    /// Arena id of the interaction node bound to this slot.
-    pub node: u32,
     /// The domain's option count (for the interaction-effort term).
     pub cardinality: usize,
     /// The domain's mean alternative size (for the interaction-effort term).
     pub mean_subtree_size: f64,
 }
 
-/// An orientation slot: one grouping node whose [`LayoutKind`] the assignment selects.
+impl SlotTemplate {
+    /// Resolve the template of a choice node: summarise its domain (label lengths from
+    /// `memo`) and size every candidate.
+    fn of(node: &DiffNode, memo: &SlotTemplates) -> Self {
+        // The domain's path is irrelevant to the template; the root path allocates nothing.
+        let domain =
+            ChoiceDomain::without_labels(DiffPath::root(), node, |alt| memo.label_len(alt))
+                .expect("slot templates are only built for choice nodes");
+        let compatible = compatible_widgets(&domain);
+        let mut candidates: Vec<CandidateWidget> = compatible
+            .iter()
+            .map(|&t| CandidateWidget::resolve(t, &domain))
+            .collect();
+        if candidates.is_empty() {
+            // `best_widget_for` falls back to a dropdown when nothing is compatible; keep it
+            // at index 0 so the default/fallback slot selects the same (possibly
+            // infinite-cost) widget as the reference path.
+            candidates.push(CandidateWidget::resolve(WidgetType::Dropdown, &domain));
+        }
+        // An explicit assignment may name an expressive type outside the per-kind candidate
+        // list (e.g. a dropdown on an OPT node); append those so `slots_from_map` can
+        // represent any map the reference path accepts.
+        for t in WidgetType::ALL {
+            if widget_can_express(t, &domain) && !candidates.iter().any(|c| c.widget_type == t) {
+                candidates.push(CandidateWidget::resolve(t, &domain));
+            }
+        }
+        Self {
+            candidates,
+            sampled: (compatible.len() as u8).max(1),
+            cardinality: domain.cardinality,
+            mean_subtree_size: domain.mean_subtree_size,
+        }
+    }
+
+    /// Every field as a word, floats as their bits: equal words mean bit-identical
+    /// templates.
+    fn words(&self) -> Vec<u64> {
+        let mut words = vec![
+            u64::from(self.sampled),
+            self.cardinality as u64,
+            self.mean_subtree_size.to_bits(),
+        ];
+        for c in &self.candidates {
+            words.extend([
+                c.widget_type as u64,
+                u64::from(c.width),
+                u64::from(c.height),
+                c.appropriateness.to_bits(),
+            ]);
+        }
+        words
+    }
+}
+
+/// The memo behind [`LayoutSkeleton::compile_with`]: [`SlotTemplate`]s keyed by choice-node
+/// fingerprint, and the byte length of each alternative's rendered label keyed by the
+/// alternative's fingerprint. Both are bounded [`GenerationCache`]s, shareable across
+/// threads like the workspace's other fingerprint-keyed caches.
+pub struct SlotTemplates {
+    templates: GenerationCache<Arc<SlotTemplate>>,
+    label_lens: GenerationCache<usize>,
+}
+
+impl SlotTemplates {
+    /// A memo of at most `capacity` templates and `capacity` label lengths, each cache
+    /// split over `shards` locks.
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+        Self {
+            templates: GenerationCache::with_shards(capacity, shards),
+            label_lens: GenerationCache::with_shards(capacity, shards),
+        }
+    }
+
+    /// Counters of the template cache: a hit is a choice slot copied from an earlier
+    /// compile, a miss one whose widgets were resolved.
+    pub fn counters(&self) -> CacheCounters {
+        self.templates.counters()
+    }
+
+    /// The template of the choice node `node`, resolved on a miss.
+    fn template(&self, node: &DiffNode) -> Arc<SlotTemplate> {
+        let key = node.fingerprint();
+        self.templates.get(key).unwrap_or_else(|| {
+            self.templates
+                .insert(key, Arc::new(SlotTemplate::of(node, self)))
+        })
+    }
+
+    /// [`ChoiceDomain::label_len`] of `alternative`, rendered on a miss.
+    fn label_len(&self, alternative: &DiffNode) -> usize {
+        let key = alternative.fingerprint();
+        self.label_lens.get(key).unwrap_or_else(|| {
+            self.label_lens
+                .insert(key, ChoiceDomain::label_len(alternative))
+        })
+    }
+}
+
+/// A choice node's compiled slot: its position in the difftree and the arena, and its
+/// shared [`SlotTemplate`].
 #[derive(Debug, Clone)]
+pub struct ChoiceSlot {
+    /// Path of the choice node in the difftree.
+    pub path: DiffPath,
+    /// Arena id of the interaction node bound to this slot.
+    pub node: u32,
+    /// The candidate widgets and domain features of the choice node.
+    pub template: Arc<SlotTemplate>,
+}
+
+/// An orientation slot: one grouping node whose [`LayoutKind`] the assignment selects.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrientSlot {
     /// Path of the grouping node in the difftree.
     pub path: DiffPath,
@@ -113,7 +237,7 @@ pub enum SkelKind {
 }
 
 /// One node of the compiled arena.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkelNode {
     /// Interaction or layout.
     pub kind: SkelKind,
@@ -162,53 +286,45 @@ pub struct LayoutSkeleton {
     orient_slots: Vec<OrientSlot>,
 }
 
-/// Intermediate recursive form produced while mirroring [`build_widget_tree`]'s recursion,
-/// flattened into the post-order arena afterwards.
-enum Proto {
-    Interaction {
-        path: DiffPath,
-        domain: ChoiceDomain,
-    },
-    Layout {
-        orient: ProtoOrient,
-        children: Vec<Proto>,
-    },
-}
-
-enum ProtoOrient {
-    Fixed(LayoutKind),
-    AtPath(DiffPath),
-}
-
 impl LayoutSkeleton {
-    /// Compile a difftree into its layout skeleton.
+    /// Compile a difftree into its layout skeleton: [`LayoutSkeleton::compile_with`] over a
+    /// throwaway template memo (which still shares templates between equal choice nodes of
+    /// the one tree).
+    pub fn compile(tree: &DiffTree) -> Self {
+        Self::compile_with(tree, &SlotTemplates::with_shards(THROWAWAY_TEMPLATES, 1))
+    }
+
+    /// Compile a difftree into its layout skeleton, taking each choice node's
+    /// [`SlotTemplate`] from `templates` and resolving (and inserting) only the missing ones.
     ///
     /// The construction mirrors [`build_widget_tree`](crate::build_widget_tree) node for
     /// node: choice nodes become interaction entries, `ALL` nodes with two or more
     /// widget-bearing children become orientation-slotted layouts, `MULTI` groupings are
     /// fixed to `Adder`, a widget-free tree compiles to an empty fixed-vertical root, and a
     /// single-widget tree is wrapped in a root layout whose orientation slot sits at the
-    /// difftree root path.
-    pub fn compile(tree: &DiffTree) -> Self {
-        let proto = Self::proto_of(tree.root(), &DiffPath::root());
-        let proto = match proto {
-            None => Proto::Layout {
-                orient: ProtoOrient::Fixed(LayoutKind::Vertical),
-                children: Vec::new(),
-            },
-            Some(p @ Proto::Layout { .. }) => p,
-            Some(leaf) => Proto::Layout {
-                orient: ProtoOrient::AtPath(DiffPath::root()),
-                children: vec![leaf],
-            },
-        };
+    /// difftree root path. The walk skips subtrees without choice nodes, keeps one path
+    /// stack, and allocates a [`DiffPath`] only for an emitted slot.
+    pub fn compile_with(tree: &DiffTree, templates: &SlotTemplates) -> Self {
         let mut skeleton = LayoutSkeleton {
             nodes: Vec::new(),
-            choice_slots: Vec::new(),
+            choice_slots: Vec::with_capacity(tree.choice_count()),
             orient_slots: Vec::new(),
         };
-        skeleton.flatten(proto);
-        // `flatten` assigns parents child-first; fix up depths root-down in one reverse pass
+        let mut path = Vec::new();
+        let mut roots = Vec::new();
+        skeleton.emit(tree.root(), templates, &mut path, &mut roots);
+        match roots.first() {
+            None => {
+                skeleton.push_layout(OrientRef::Fixed(LayoutKind::Vertical), &[]);
+            }
+            Some(&root) => {
+                if matches!(skeleton.nodes[root as usize].kind, SkelKind::Interaction(_)) {
+                    let orient = skeleton.orient_slot(&path);
+                    skeleton.push_layout(orient, &[root]);
+                }
+            }
+        }
+        // Parents are patched in child-first; fix up depths root-down in one reverse pass
         // (children precede their parent in post-order, so a forward pass cannot do it).
         for i in (0..skeleton.nodes.len()).rev() {
             let parent = skeleton.nodes[i].parent;
@@ -221,121 +337,85 @@ impl LayoutSkeleton {
         skeleton
     }
 
-    /// Mirror of `build_node` in [`crate::tree`]: `None` for subtrees without choice nodes.
-    fn proto_of(node: &DiffNode, path: &DiffPath) -> Option<Proto> {
+    /// Emit the widget-tree nodes of the subtree `node` (at `path`) in post-order, mirroring
+    /// `build_node` in [`crate::tree`], and push the id of the subtree's top node onto
+    /// `roots` (nothing for a subtree without choice nodes). A choice node's own widget
+    /// precedes its nested ones; two or more top nodes are grouped under one layout.
+    fn emit(
+        &mut self,
+        node: &DiffNode,
+        templates: &SlotTemplates,
+        path: &mut Vec<usize>,
+        roots: &mut Vec<u32>,
+    ) {
+        let start = roots.len();
         if node.is_choice() {
-            let domain = ChoiceDomain::from_node(path.clone(), node)?;
-            let own = Proto::Interaction {
-                path: path.clone(),
-                domain,
-            };
-            let mut nested = Vec::new();
-            for (i, child) in node.children().iter().enumerate() {
-                if let Some(p) = Self::proto_of(child, &path.child(i)) {
-                    nested.push(p);
-                }
+            let id = self.push_interaction(node, templates, path);
+            roots.push(id);
+        }
+        for (i, child) in node.children().iter().enumerate() {
+            if child.choice_count() > 0 {
+                path.push(i);
+                self.emit(child, templates, path, roots);
+                path.pop();
             }
-            if nested.is_empty() {
-                Some(own)
+        }
+        if roots.len() - start >= 2 {
+            let orient = if node.kind() == DiffKind::Multi {
+                OrientRef::Fixed(LayoutKind::Adder)
             } else {
-                let orient = if node.kind() == DiffKind::Multi {
-                    ProtoOrient::Fixed(LayoutKind::Adder)
-                } else {
-                    ProtoOrient::AtPath(path.clone())
-                };
-                let mut children = vec![own];
-                children.append(&mut nested);
-                Some(Proto::Layout { orient, children })
-            }
-        } else {
-            let mut built = Vec::new();
-            for (i, child) in node.children().iter().enumerate() {
-                if let Some(p) = Self::proto_of(child, &path.child(i)) {
-                    built.push(p);
-                }
-            }
-            match built.len() {
-                0 => None,
-                1 => Some(built.pop().expect("len checked")),
-                _ => Some(Proto::Layout {
-                    orient: ProtoOrient::AtPath(path.clone()),
-                    children: built,
-                }),
-            }
+                self.orient_slot(path)
+            };
+            let id = self.push_layout(orient, &roots[start..]);
+            roots.truncate(start);
+            roots.push(id);
         }
     }
 
-    /// Emit `proto` into the arena in post-order; returns the emitted node's id. Parents are
-    /// patched in for the children once the parent's id is known.
-    fn flatten(&mut self, proto: Proto) -> u32 {
-        match proto {
-            Proto::Interaction { path, domain } => {
-                let slot = self.make_choice_slot(path, &domain);
-                self.nodes.push(SkelNode {
-                    kind: SkelKind::Interaction(slot),
-                    child_count: 0,
-                    parent: NO_PARENT,
-                    depth: 0,
-                });
-                let id = (self.nodes.len() - 1) as u32;
-                self.choice_slots[slot as usize].node = id;
-                id
-            }
-            Proto::Layout { orient, children } => {
-                let child_count = children.len() as u32;
-                let child_ids: Vec<u32> = children.into_iter().map(|c| self.flatten(c)).collect();
-                let orient = match orient {
-                    ProtoOrient::Fixed(kind) => OrientRef::Fixed(kind),
-                    ProtoOrient::AtPath(path) => {
-                        self.orient_slots.push(OrientSlot { path });
-                        OrientRef::Slot((self.orient_slots.len() - 1) as u32)
-                    }
-                };
-                self.nodes.push(SkelNode {
-                    kind: SkelKind::Layout(orient),
-                    child_count,
-                    parent: NO_PARENT,
-                    depth: 0,
-                });
-                let id = (self.nodes.len() - 1) as u32;
-                for c in child_ids {
-                    self.nodes[c as usize].parent = id;
-                }
-                id
-            }
-        }
-    }
-
-    fn make_choice_slot(&mut self, path: DiffPath, domain: &ChoiceDomain) -> u32 {
-        let compatible = compatible_widgets(domain);
-        let mut candidates: Vec<CandidateWidget> = compatible
-            .iter()
-            .map(|&t| CandidateWidget::resolve(t, domain))
-            .collect();
-        if candidates.is_empty() {
-            // `best_widget_for` falls back to a dropdown when nothing is compatible; keep it
-            // at index 0 so the default/fallback slot selects the same (possibly
-            // infinite-cost) widget as the reference path.
-            candidates.push(CandidateWidget::resolve(WidgetType::Dropdown, domain));
-        }
-        // An explicit assignment may name an expressive type outside the per-kind candidate
-        // list (e.g. a dropdown on an OPT node); append those so `slots_from_map` can
-        // represent any map the reference path accepts.
-        for t in WidgetType::ALL {
-            if widget_can_express(t, domain) && !candidates.iter().any(|c| c.widget_type == t) {
-                candidates.push(CandidateWidget::resolve(t, domain));
-            }
-        }
-        let sampled = compatible.len() as u8;
-        self.choice_slots.push(ChoiceSlot {
-            path,
-            candidates,
-            sampled: sampled.max(1),
-            node: 0,
-            cardinality: domain.cardinality,
-            mean_subtree_size: domain.mean_subtree_size,
+    /// Push the interaction node of the choice node `node` and its choice slot.
+    fn push_interaction(
+        &mut self,
+        node: &DiffNode,
+        templates: &SlotTemplates,
+        path: &[usize],
+    ) -> u32 {
+        let template = templates.template(node);
+        let id = self.nodes.len() as u32;
+        self.nodes.push(SkelNode {
+            kind: SkelKind::Interaction(self.choice_slots.len() as u32),
+            child_count: 0,
+            parent: NO_PARENT,
+            depth: 0,
         });
-        (self.choice_slots.len() - 1) as u32
+        self.choice_slots.push(ChoiceSlot {
+            path: DiffPath(path.to_vec()),
+            node: id,
+            template,
+        });
+        id
+    }
+
+    /// A new orientation slot for the grouping node at `path`.
+    fn orient_slot(&mut self, path: &[usize]) -> OrientRef {
+        self.orient_slots.push(OrientSlot {
+            path: DiffPath(path.to_vec()),
+        });
+        OrientRef::Slot((self.orient_slots.len() - 1) as u32)
+    }
+
+    /// Push a layout node over the already emitted `children` and patch their parents.
+    fn push_layout(&mut self, orient: OrientRef, children: &[u32]) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(SkelNode {
+            kind: SkelKind::Layout(orient),
+            child_count: children.len() as u32,
+            parent: NO_PARENT,
+            depth: 0,
+        });
+        for &c in children {
+            self.nodes[c as usize].parent = id;
+        }
+        id
     }
 
     // ------------------------------------------------------------------ accessors
@@ -356,12 +436,38 @@ impl LayoutSkeleton {
         self.choice_slots.len()
     }
 
-    /// The choice-slot index bound to the choice node at `path`, if any.
+    /// The choice-slot index bound to the choice node at `path`, if any: a binary search,
+    /// because slots are in pre-order, which is the order of [`DiffPath`]'s derived `Ord`.
     pub fn slot_of_choice(&self, path: &DiffPath) -> Option<u32> {
         self.choice_slots
-            .iter()
-            .position(|s| &s.path == path)
+            .binary_search_by(|s| s.path.cmp(path))
+            .ok()
             .map(|i| i as u32)
+    }
+
+    /// The first field in which `self` and `other` differ — arena nodes, choice slots with
+    /// their templates, orientation slots; floats compared by bits — or `None` when the two
+    /// skeletons are identical. Differential checks compare memoized compiles against cold
+    /// ones with it.
+    pub fn first_difference(&self, other: &LayoutSkeleton) -> Option<String> {
+        let slot_words = |s: &ChoiceSlot| (s.path.clone(), s.node, s.template.words());
+        first_mismatch("arena node", &self.nodes, &other.nodes, SkelNode::clone)
+            .or_else(|| {
+                first_mismatch(
+                    "choice slot",
+                    &self.choice_slots,
+                    &other.choice_slots,
+                    slot_words,
+                )
+            })
+            .or_else(|| {
+                first_mismatch(
+                    "orientation slot",
+                    &self.orient_slots,
+                    &other.orient_slots,
+                    OrientSlot::clone,
+                )
+            })
     }
 
     // ------------------------------------------------------------------ assignments
@@ -383,7 +489,7 @@ impl LayoutSkeleton {
         out.choice_count = self.choice_slots.len();
         out.slots.clear();
         for slot in &self.choice_slots {
-            out.slots.push(rng.gen_range(0..slot.sampled));
+            out.slots.push(rng.gen_range(0..slot.template.sampled));
         }
         for _ in &self.orient_slots {
             let code = match rng.gen_range(0..4u8) {
@@ -402,10 +508,11 @@ impl LayoutSkeleton {
     pub fn slots_from_map(&self, map: &WidgetChoiceMap) -> SlotAssignment {
         let mut slots = Vec::with_capacity(self.choice_slots.len() + self.orient_slots.len());
         for slot in &self.choice_slots {
+            let candidates = &slot.template.candidates;
             let idx = map
                 .types
                 .get(&slot.path)
-                .and_then(|t| slot.candidates.iter().position(|c| c.widget_type == *t))
+                .and_then(|t| candidates.iter().position(|c| c.widget_type == *t))
                 .unwrap_or(0);
             slots.push(idx as u8);
         }
@@ -435,9 +542,10 @@ impl LayoutSkeleton {
     pub fn to_choice_map(&self, slots: &SlotAssignment) -> WidgetChoiceMap {
         let mut map = WidgetChoiceMap::default();
         for (i, slot) in self.choice_slots.iter().enumerate() {
-            let idx = slots.choice(i).min(slot.candidates.len() - 1);
+            let candidates = &slot.template.candidates;
+            let idx = slots.choice(i).min(candidates.len() - 1);
             map.types
-                .insert(slot.path.clone(), slot.candidates[idx].widget_type);
+                .insert(slot.path.clone(), candidates[idx].widget_type);
         }
         for (i, slot) in self.orient_slots.iter().enumerate() {
             let kind = Self::orient_kind(slots.orient(i));
@@ -467,9 +575,9 @@ impl LayoutSkeleton {
 
     #[inline]
     fn candidate<'a>(&'a self, slot: u32, slots: &SlotAssignment) -> &'a CandidateWidget {
-        let s = &self.choice_slots[slot as usize];
-        let idx = slots.choice(slot as usize).min(s.candidates.len() - 1);
-        &s.candidates[idx]
+        let candidates = &self.choice_slots[slot as usize].template.candidates;
+        let idx = slots.choice(slot as usize).min(candidates.len() - 1);
+        &candidates[idx]
     }
 
     // ------------------------------------------------------------------ evaluation folds
@@ -544,6 +652,21 @@ impl LayoutSkeleton {
         }
         edge_nodes.len()
     }
+}
+
+/// The first entry at which `a` and `b` differ by `key` (or their lengths), described with
+/// both entries.
+fn first_mismatch<T: std::fmt::Debug, K: PartialEq>(
+    what: &str,
+    a: &[T],
+    b: &[T],
+    key: impl Fn(&T) -> K,
+) -> Option<String> {
+    if a.len() != b.len() {
+        return Some(format!("{} {what}s vs {}", a.len(), b.len()));
+    }
+    let i = (0..a.len()).find(|&i| key(&a[i]) != key(&b[i]))?;
+    Some(format!("{what} {i}: {:?} vs {:?}", a[i], b[i]))
 }
 
 #[cfg(test)]
@@ -690,7 +813,7 @@ mod tests {
         for _ in 0..50 {
             skeleton.sample_into(&mut slots, &mut rng);
             for (i, slot) in skeleton.choice_slots().iter().enumerate() {
-                assert!(slots.choice(i) < slot.sampled as usize);
+                assert!(slots.choice(i) < slot.template.sampled as usize);
             }
             for i in 0..skeleton.orient_slots.len() {
                 assert!(slots.orient(i) < 3);

@@ -111,6 +111,11 @@ impl SizeClass {
         }
     }
 
+    /// A natural pixel length scaled by this template.
+    fn scaled(&self, px: u32) -> u32 {
+        (px as f64 * self.scale()).round() as u32
+    }
+
     /// Classify a natural pixel area into a template.
     fn classify(width: u32, height: u32) -> SizeClass {
         let area = width as u64 * height as u64;
@@ -154,14 +159,22 @@ impl Widget {
     /// Pixel width of the widget (natural size scaled by its template).
     pub fn width(&self) -> u32 {
         let (w, _) = natural_size(self.widget_type, &self.domain);
-        (w as f64 * self.size.scale()).round() as u32
+        self.size.scaled(w)
     }
 
     /// Pixel height of the widget.
     pub fn height(&self) -> u32 {
         let (_, h) = natural_size(self.widget_type, &self.domain);
-        (h as f64 * self.size.scale()).round() as u32
+        self.size.scaled(h)
     }
+}
+
+/// The pixel box `(width, height)` of `Widget::new(widget_type, domain)`, computed from the
+/// borrowed domain without building the widget.
+pub(crate) fn widget_box(widget_type: WidgetType, domain: &ChoiceDomain) -> (u32, u32) {
+    let (w, h) = natural_size(widget_type, domain);
+    let size = SizeClass::classify(w, h);
+    (size.scaled(w), size.scaled(h))
 }
 
 /// Character-width constant used by the size model (average glyph width at 14px font).
