@@ -15,15 +15,40 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mctsui_bench::is6_workload;
-use mctsui_difftree::RuleEngine;
+use mctsui_difftree::{DiffTree, RuleEngine};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The paper's rollout depth.
+const ROLLOUT_STEPS: usize = 200;
+
+/// The rollout loop the carried walk replaced: each step counts the state's actions and
+/// draws the `gen_range(0..count)`-th through the shared index, then applies it.
+fn looped_walk(engine: &RuleEngine, start: &DiffTree, seed: u64) -> Option<DiffTree> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut state: Option<DiffTree> = None;
+    for _ in 0..ROLLOUT_STEPS {
+        let current = state.as_ref().unwrap_or(start);
+        let count = engine.count_applicable(current);
+        if count == 0 {
+            break;
+        }
+        let app = engine.nth_applicable(current, rng.gen_range(0..count))?;
+        match engine.apply(current, &app) {
+            Some(next) => state = Some(next),
+            None => break,
+        }
+    }
+    state
+}
 
 /// Steady-state action generation on the Listing 1 workload: the indexed rows cycle through
 /// every one-edit successor of the factored base tree (the states a rollout step queries),
 /// so off-spine subtree summaries are memo hits; the scan row walks every node and matches
-/// every rule from scratch. End to end, perfbench's `difftree.walk_us` and
-/// `difftree.steps_per_iter` measure the same layer.
+/// every rule from scratch. The walk rows time whole seeded 200-step rollouts from the
+/// base tree: the count/nth/apply loop against the walk that carries its own summaries.
+/// End to end, perfbench's `difftree.walk_us` and `difftree.steps_per_iter` measure the
+/// same layer.
 fn bench_action_generation(c: &mut Criterion) {
     let engine = RuleEngine::default();
     let (tree, successors) = is6_workload(&engine);
@@ -56,13 +81,34 @@ fn bench_action_generation(c: &mut Criterion) {
         })
     });
 
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut i = 0usize;
-    group.bench_function("index_sample_draw", |b| {
+    // One 200-step rollout from the factored base tree per iteration, the i-th on seed i
+    // in both rows: the count/nth/apply loop through the shared index, and the carried walk.
+    // The endpoint check runs the loop on an engine of its own, so it warms nothing the
+    // loop row then measures.
+    let reference = RuleEngine::default();
+    for seed in 0..8 {
+        let looped = looped_walk(&reference, &tree, seed).map(|t| t.fingerprint());
+        let carried = engine
+            .rollout(&tree, ROLLOUT_STEPS, &mut StdRng::seed_from_u64(seed))
+            .map(|t| t.fingerprint());
+        assert_eq!(
+            looped, carried,
+            "seed {seed}: the walks reached different endpoints"
+        );
+    }
+    let mut seed = 0u64;
+    group.bench_function("walk_count_nth_apply_200", |b| {
         b.iter(|| {
-            let succ = &successors[i % successors.len()];
-            i += 1;
-            engine.sample_applicable(succ, &mut rng).is_some()
+            seed += 1;
+            looped_walk(&engine, &tree, seed).is_some()
+        })
+    });
+    let mut seed = 0u64;
+    group.bench_function("walk_carried_200", |b| {
+        b.iter(|| {
+            seed += 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            engine.rollout(&tree, ROLLOUT_STEPS, &mut rng).is_some()
         })
     });
 

@@ -5,7 +5,11 @@
 //! reference implementation **bit-for-bit**:
 //!
 //! 1. **actions** — `RuleEngine::applicable` (incremental action index) against
-//!    `applicable_scan` (full-walk reference), on the initial and the saturated difftree.
+//!    `applicable_scan` (full-walk reference), on the initial and the saturated difftree
+//!    and every one-edit successor of the initial tree; then the carried rollout walk
+//!    (`ActionIndex::walk_from`) along two seeded 200-step walks, whose carried summary
+//!    must count and enumerate each state's scan and whose steps must reach the
+//!    count/nth/apply walk's states.
 //! 2. **reward** — the compiled-skeleton reward path (`ContextCache::plan_for` +
 //!    `evaluate_sampled`) against the legacy build-a-widget-tree-per-assignment loop, and
 //!    every cached plan — on the initial and the saturated difftree and along two seeded
@@ -112,7 +116,7 @@ impl Oracle {
     /// reference gave up.
     fn run(&self, scenario: &Scenario, seed: u64) -> Result<usize, String> {
         match self {
-            Oracle::Actions => oracle_actions(scenario).map(|()| 0),
+            Oracle::Actions => oracle_actions(scenario, seed).map(|()| 0),
             Oracle::Reward => oracle_reward(scenario, seed).map(|()| 0),
             Oracle::Search => oracle_search(scenario, seed).map(|()| 0),
             Oracle::Serve => oracle_serve(scenario, seed).map(|()| 0),
@@ -226,8 +230,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Oracle 1: the incremental action index must agree with the full-walk reference scan on
 /// the initial difftree, the saturated difftree, and every one-edit successor of the
-/// initial tree.
-fn oracle_actions(scenario: &Scenario) -> Result<(), String> {
+/// initial tree. Then, along two seeded 200-step walks, the carried walk — on an engine of
+/// its own, so no summary the reference walk cached can stand in for one it carries — must
+/// hold at every state a summary whose total and `nth` enumeration equal the scan, and
+/// each of its steps must reach the state [`seeded_walk`] reaches on the same seed.
+fn oracle_actions(scenario: &Scenario, seed: u64) -> Result<(), String> {
     let engine = RuleEngine::default();
     let initial = initial_difftree(&scenario.queries);
     let saturated = engine.saturate_forward(&initial, 100);
@@ -256,6 +263,39 @@ fn oracle_actions(scenario: &Scenario) -> Result<(), String> {
                     app.rule,
                     indexed.len(),
                     scanned.len()
+                ));
+            }
+        }
+    }
+    let carrying = RuleEngine::default();
+    for walk in 0..2 {
+        let states = seeded_walk(&engine, &initial, seed, walk)?;
+        let mut rng = walk_rng(seed, walk);
+        let mut carried = carrying.action_index().walk_from(&initial);
+        for step in 0..=states.len() {
+            let scanned = engine.applicable_scan(carried.tree());
+            if carried.count() != scanned.len() {
+                return Err(format!(
+                    "walk {walk} step {step}: carried count {} vs scan {}",
+                    carried.count(),
+                    scanned.len()
+                ));
+            }
+            if let Some(i) =
+                (0..=scanned.len()).find(|&i| carried.nth(i).as_ref() != scanned.get(i))
+            {
+                return Err(format!(
+                    "walk {walk} step {step}: carried nth({i}) {:?} vs scan {:?}",
+                    carried.nth(i),
+                    scanned.get(i)
+                ));
+            }
+            let Some(expected) = states.get(step) else {
+                break;
+            };
+            if !carried.step(&mut rng) || carried.tree().fingerprint() != expected.fingerprint() {
+                return Err(format!(
+                    "walk {walk} step {step}: the carried walk left the seeded walk"
                 ));
             }
         }
@@ -340,8 +380,14 @@ fn same_plan(cache: &ContextCache, tree: &DiffTree, queries: &[Ast]) -> Result<(
     }
 }
 
-/// Length of the seeded random walks of the reward and express rungs.
+/// Length of the seeded random walks of the actions, reward and express rungs.
 const WALK_STEPS: usize = 200;
+
+/// The rng of seeded random walk `walk` of a scenario seed.
+fn walk_rng(seed: u64, walk: u64) -> rand::rngs::StdRng {
+    use rand::SeedableRng;
+    rand::rngs::StdRng::seed_from_u64(seed ^ (walk + 1).wrapping_mul(0x5DEE_CE66_D1CE_4E5B))
+}
 
 /// The states of seeded random walk `walk` from `initial`: up to [`WALK_STEPS`] steps, each
 /// applying a uniformly random applicable rule the way a rollout does (so the states reach
@@ -353,10 +399,9 @@ fn seeded_walk(
     seed: u64,
     walk: u64,
 ) -> Result<Vec<DiffTree>, String> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
 
-    let mut rng = StdRng::seed_from_u64(seed ^ (walk + 1).wrapping_mul(0x5DEE_CE66_D1CE_4E5B));
+    let mut rng = walk_rng(seed, walk);
     let mut states: Vec<DiffTree> = Vec::with_capacity(WALK_STEPS);
     for step in 0..WALK_STEPS {
         let tree = states.last().unwrap_or(initial);

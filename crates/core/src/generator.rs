@@ -304,6 +304,43 @@ mod tests {
     }
 
     #[test]
+    fn seeded_random_walk_strategy_keeps_its_recorded_outcome() {
+        // `(seed, walk depth, final difftree fingerprint, cost bits, evaluations)`, recorded
+        // on `corpus:star:7` with 12 walks while the strategy still ran its own
+        // count/nth/apply loop; it now walks through `SearchProblem::rollout`, which must
+        // draw and reach the same. Each recorded winner is a walk endpoint, not the
+        // initial state.
+        const RECORDED: [(u64, usize, u64, u64, usize); 3] = [
+            (1, 10, 5751422802939481341, 4635857506130555044, 13),
+            (7, 10, 1028027910413240920, 4635028366863984181, 13),
+            (7, 30, 15533230124383653214, 4636515424141366052, 13),
+        ];
+        let log =
+            mctsui_workload::CorpusSpec::new(mctsui_workload::SchemaFamily::Star, 7).generate();
+        for recorded in RECORDED {
+            let (seed, depth, ..) = recorded;
+            let config = GeneratorConfig::quick(Screen::wide())
+                .with_seed(seed)
+                .with_strategy(SearchStrategy::RandomWalk { walks: 12, depth });
+            let generator = InterfaceGenerator::new(log.queries.clone(), config);
+            let initial = generator.problem().initial_state();
+            let interface = generator.generate();
+            assert_ne!(interface.difftree, initial, "seed {seed}: no walk won");
+            let outcome = (
+                seed,
+                depth,
+                interface.difftree.fingerprint(),
+                interface.cost.total.to_bits(),
+                interface.stats.evaluations,
+            );
+            assert_eq!(
+                outcome, recorded,
+                "seed {seed}, depth {depth}: the walk moved"
+            );
+        }
+    }
+
+    #[test]
     fn triaged_generation_matches_pre_quarantined_log() {
         // The quarantine contract: generating from a noisy triaged log is bit-identical to
         // generating from the same log with the noisy queries removed before submission.

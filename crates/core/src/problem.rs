@@ -10,6 +10,7 @@ use mctsui_difftree::{DiffTree, RuleApplication, RuleEngine};
 use mctsui_mcts::SearchProblem;
 use mctsui_sql::Ast;
 use mctsui_widgets::{Screen, WidgetChoiceMap};
+use rand::rngs::StdRng;
 
 /// The search problem of the paper: states are difftrees, actions are transformation-rule
 /// applications, and the reward of a state is the negated cost of the best widget tree found
@@ -211,6 +212,13 @@ impl SearchProblem for InterfaceSearchProblem {
         // O(depth) descent through the cached per-subtree counts; same enumeration order
         // as `actions`, so seeded rollouts are identical on both paths.
         self.engine.nth_applicable(state, index)
+    }
+
+    fn rollout(&self, start: &DiffTree, depth: usize, rng: &mut StdRng) -> Option<DiffTree> {
+        // The walk carries each state's action summary itself: only the rewritten spine is
+        // re-matched per step, and no walk state enters the engine's shared index. Same
+        // draws and states as the default count/nth/apply loop.
+        self.engine.rollout(start, depth, rng)
     }
 
     fn reward(&self, state: &DiffTree, eval_seed: u64) -> f64 {

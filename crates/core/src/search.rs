@@ -93,22 +93,9 @@ pub(crate) fn random_walk_search(
     let mut evaluations = 1usize;
 
     for _ in 0..walks {
-        let mut state = initial.clone();
-        for _ in 0..depth {
-            // Draw through the action index: count + nth, never the full fanout vector.
-            // Same rng consumption and selection as indexing a materialised vector.
-            let count = problem.action_count(&state);
-            if count == 0 {
-                break;
-            }
-            let Some(action) = problem.nth_action(&state, rng.gen_range(0..count)) else {
-                break;
-            };
-            match problem.apply(&state, &action) {
-                Some(next) => state = next,
-                None => break,
-            }
-        }
+        let state = problem
+            .rollout(&initial, depth, &mut rng)
+            .unwrap_or_else(|| initial.clone());
         let reward = problem.reward(&state, rng.gen());
         evaluations += 1;
         if reward > best_reward {

@@ -2,9 +2,9 @@
 //!
 //! [`RuleEngine::applicable`](crate::rules::RuleEngine::applicable) answers "which rule
 //! applications does this tree admit?" — the fanout of a search state. The reference
-//! implementation walks every node and matches every rule, which is wasteful inside MCTS
-//! rollouts: each step edits the persistent tree at *one* path, so the bindings of every
-//! subtree off that spine are exactly what they were one state ago.
+//! implementation walks every node and matches every rule, which is wasteful inside MCTS:
+//! each step edits the persistent tree at *one* path, so the bindings of every subtree off
+//! that spine are exactly what they were one state ago.
 //!
 //! [`ActionIndex`] maintains the answer incrementally instead of recomputing it. Per
 //! subtree it stores a [`BindingSummary`] — the rule bindings at the subtree root, handles
@@ -23,8 +23,17 @@
 //! The aggregate counts additionally make the index a sampling structure: `count_applicable`
 //! is O(1) after the root lookup, and `nth_applicable` descends the summary tree guided by
 //! the per-child totals, materialising a single [`RuleApplication`] in O(depth × branching)
-//! without ever building the full fanout vector. Rollouts draw uniform random actions that
-//! way.
+//! without ever building the full fanout vector.
+//!
+//! Rollouts do not go through the shared memo step by step. A [`CarriedWalk`] keeps its
+//! state's root summary next to the tree: a step draws from that summary, and after the
+//! rewrite at path p the next summary reuses the old off-spine child handles, re-matches
+//! rules only at p's spine nodes, and summarises the rewritten node from the replaced
+//! node's child and grandchild summaries (falling back to a lookup of the shared cache that
+//! never inserts). A rollout's states are thrown away one step later, so none of them
+//! enters the shared cache, which stays with the search tree's own states. The walk draws
+//! exactly one `gen_range(0..count)` per step, like the count/nth/apply loop it replaces,
+//! and reaches the same states.
 //!
 //! Summaries are position-independent: a binding is stored as `(rule, arg)` and its path is
 //! reconstructed during traversal, so one summary serves a subtree wherever (and however
@@ -43,10 +52,11 @@
 use std::sync::Arc;
 
 use rand::Rng;
+use rustc_hash::FxHashMap;
 
 use crate::cache::{CacheCounters, GenerationCache};
 use crate::node::{DiffNode, DiffPath, DiffTree};
-use crate::rules::{push_rule_bindings, RuleApplication, RuleId};
+use crate::rules::{push_rule_bindings, rewrite_rule, RuleApplication, RuleId};
 
 /// Default capacity (resident subtree summaries) of the binding cache.
 pub const INDEX_DEFAULT_CAPACITY: usize = 1 << 17;
@@ -121,9 +131,13 @@ impl ActionIndex {
         if let Some(hit) = self.cache.get(key) {
             return hit;
         }
+        let children = node.children().iter().map(|c| self.summary(c)).collect();
+        self.cache.insert(key, self.compose(node, children))
+    }
 
-        let children: Vec<Arc<BindingSummary>> =
-            node.children().iter().map(|c| self.summary(c)).collect();
+    /// The summary of `node` from its children's summaries: the node's own bindings are
+    /// matched here, the children's are only summed. Nothing is cached.
+    fn compose(&self, node: &DiffNode, children: Vec<Arc<BindingSummary>>) -> Arc<BindingSummary> {
         let mut apps = Vec::new();
         for rule in &self.rules {
             push_rule_bindings(
@@ -142,13 +156,45 @@ impl ActionIndex {
             })
             .collect();
         let total = local.len() + children.iter().map(|c| c.total).sum::<usize>();
-        let summary = Arc::new(BindingSummary {
+        Arc::new(BindingSummary {
             local,
             children,
             total,
-        });
+        })
+    }
 
-        self.cache.insert(key, summary)
+    /// The summary of a node a walk step built: taken from `known` (summaries the walk
+    /// already holds, by fingerprint) or the shared cache, else composed from its children
+    /// the same way. Never inserts into the shared cache.
+    fn walk_summary(
+        &self,
+        node: &DiffNode,
+        known: &FxHashMap<u64, &Arc<BindingSummary>>,
+    ) -> Arc<BindingSummary> {
+        let key = node.fingerprint();
+        if let Some(hit) = known.get(&key) {
+            return Arc::clone(hit);
+        }
+        if let Some(hit) = self.cache.get(key) {
+            return hit;
+        }
+        let children = node
+            .children()
+            .iter()
+            .map(|c| self.walk_summary(c, known))
+            .collect();
+        self.compose(node, children)
+    }
+
+    /// Start a rollout walk at `start`. The start state's summary comes from the shared
+    /// memo (it is a search-tree state, normally cached when the search first counted its
+    /// actions); every later state's summary is carried by the walk.
+    pub fn walk_from(&self, start: &DiffTree) -> CarriedWalk<'_> {
+        CarriedWalk {
+            index: self,
+            summary: self.summary(start.root()),
+            tree: start.clone(),
+        }
     }
 
     /// Every applicable rule application of the tree, in reference-scan order (pre-order
@@ -173,30 +219,13 @@ impl ActionIndex {
     /// The `n`-th applicable application (0-based, reference-scan order), materialised alone
     /// in O(depth × branching) by descending the cached per-subtree totals.
     pub fn nth_applicable(&self, tree: &DiffTree, n: usize) -> Option<RuleApplication> {
-        nth_in_summary(self.summary(tree.root()), n)
+        nth_in_summary(&self.summary(tree.root()), n)
     }
 
     /// The first applicable application in reference-scan order, or `None` for a dead-end
     /// state. O(depth): the short-circuiting form of `applicable().first()`.
     pub fn first_applicable(&self, tree: &DiffTree) -> Option<RuleApplication> {
         self.nth_applicable(tree, 0)
-    }
-
-    /// Draw one applicable application uniformly at random (exactly the distribution of
-    /// indexing a materialised `applicable` vector with a uniform index), or `None` for a
-    /// dead-end state. Consumes one `gen_range` draw, like the vector form it replaces.
-    pub fn sample_applicable<R: Rng>(
-        &self,
-        tree: &DiffTree,
-        rng: &mut R,
-    ) -> Option<RuleApplication> {
-        // One root lookup serves both the count and the descent.
-        let summary = self.summary(tree.root());
-        if summary.total == 0 {
-            return None;
-        }
-        let n = rng.gen_range(0..summary.total);
-        nth_in_summary(summary, n)
     }
 
     /// Hit/miss/eviction counters of the binding cache (for serving stats).
@@ -211,9 +240,98 @@ impl ActionIndex {
     }
 }
 
-/// Select the `n`-th application of an already-resolved summary by descending the cached
+/// A rollout walk in progress: the current tree with its root [`BindingSummary`] carried
+/// alongside (see the module docs). Built by [`ActionIndex::walk_from`].
+pub struct CarriedWalk<'a> {
+    index: &'a ActionIndex,
+    tree: DiffTree,
+    summary: Arc<BindingSummary>,
+}
+
+impl CarriedWalk<'_> {
+    /// The walk's current state.
+    pub fn tree(&self) -> &DiffTree {
+        &self.tree
+    }
+
+    /// The number of applications of the current state (its carried summary's total).
+    pub fn count(&self) -> usize {
+        self.summary.total
+    }
+
+    /// The `n`-th application of the current state in reference-scan order, read from the
+    /// carried summary.
+    pub fn nth(&self, n: usize) -> Option<RuleApplication> {
+        nth_in_summary(&self.summary, n)
+    }
+
+    /// The walk's current state, consuming the walk.
+    pub fn into_tree(self) -> DiffTree {
+        self.tree
+    }
+
+    /// Take one step: draw one `gen_range(0..count)`, apply that application and carry the
+    /// successor's summary. Returns `false`, leaving the state as it was, at a dead end
+    /// (without drawing) or when the drawn rewrite fails.
+    pub fn step<R: Rng>(&mut self, rng: &mut R) -> bool {
+        let count = self.summary.total;
+        if count == 0 {
+            return false;
+        }
+        let Some(app) = nth_in_summary(&self.summary, rng.gen_range(0..count)) else {
+            return false;
+        };
+        let Some(replaced) = self.tree.node_at(&app.path) else {
+            return false;
+        };
+        let Some(rewritten) = rewrite_rule(app.rule, replaced, app.arg) else {
+            return false;
+        };
+
+        // The old summaries of the spine nodes above the replaced node, root first, and the
+        // replaced node's own.
+        let mut spine = Vec::with_capacity(app.path.depth());
+        let mut old = &self.summary;
+        for &i in &app.path.0 {
+            spine.push(old);
+            old = &old.children[i];
+        }
+
+        // The rewritten node's children and grandchildren are mostly the replaced node's:
+        // serve those from the summaries the walk already holds.
+        let mut known = FxHashMap::default();
+        for (child, child_summary) in replaced.children().iter().zip(&old.children) {
+            known.insert(child.fingerprint(), child_summary);
+            for (grandchild, summary) in child.children().iter().zip(&child_summary.children) {
+                known.insert(grandchild.fingerprint(), summary);
+            }
+        }
+        let mut summary = self.index.walk_summary(&rewritten, &known);
+
+        let Some(tree) = self.tree.replace_at(&app.path, rewritten) else {
+            return false;
+        };
+        // Re-match the spine bottom-up; every off-spine child keeps its old handle.
+        let mut nodes = Vec::with_capacity(spine.len());
+        let mut node = tree.root();
+        for &i in &app.path.0 {
+            nodes.push(node);
+            node = &node.children()[i];
+        }
+        for ((node, above), &i) in nodes.iter().zip(&spine).zip(&app.path.0).rev() {
+            let mut children = above.children.clone();
+            children[i] = summary;
+            summary = self.index.compose(node, children);
+        }
+        self.summary = summary;
+        self.tree = tree;
+        true
+    }
+}
+
+/// Select the `n`-th application of an already-resolved summary by descending the
 /// per-subtree totals, reconstructing the target path along the way.
-fn nth_in_summary(mut summary: Arc<BindingSummary>, mut n: usize) -> Option<RuleApplication> {
+fn nth_in_summary(mut summary: &BindingSummary, mut n: usize) -> Option<RuleApplication> {
     if n >= summary.total {
         return None;
     }
@@ -230,7 +348,7 @@ fn nth_in_summary(mut summary: Arc<BindingSummary>, mut n: usize) -> Option<Rule
         let mut descend = None;
         for (i, child) in summary.children.iter().enumerate() {
             if n < child.total {
-                descend = Some((i, Arc::clone(child)));
+                descend = Some((i, child));
                 break;
             }
             n -= child.total;
@@ -276,7 +394,7 @@ mod tests {
     use crate::rules::RuleEngine;
     use mctsui_sql::{parse_query, Ast};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn figure1_queries() -> Vec<Ast> {
         vec![
@@ -319,19 +437,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sample_applicable_draws_members_deterministically() {
-        let engine = RuleEngine::default();
-        let tree = initial_difftree(&figure1_queries());
-        let all = engine.applicable(&tree);
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..32 {
-            let x = engine.sample_applicable(&tree, &mut a).expect("non-empty");
-            let y = engine.sample_applicable(&tree, &mut b).expect("non-empty");
-            assert_eq!(x, y, "same seed, same draw");
-            assert!(all.contains(&x), "draw must be an applicable application");
+    /// The count/nth/apply loop the carried walk replaces, returning every state it visits.
+    fn looped_walk(
+        engine: &RuleEngine,
+        start: &DiffTree,
+        depth: usize,
+        seed: u64,
+    ) -> Vec<DiffTree> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut states = vec![start.clone()];
+        for _ in 0..depth {
+            let current = states.last().expect("non-empty");
+            let count = engine.count_applicable(current);
+            if count == 0 {
+                break;
+            }
+            let app = engine
+                .nth_applicable(current, rng.gen_range(0..count))
+                .expect("in range");
+            match engine.apply(current, &app) {
+                Some(next) => states.push(next),
+                None => break,
+            }
         }
+        states
+    }
+
+    #[test]
+    fn carried_walk_visits_the_looped_walks_states() {
+        let looping = RuleEngine::default();
+        let carrying = RuleEngine::default();
+        let start = initial_difftree(&figure1_queries());
+        for seed in 0..8 {
+            let states = looped_walk(&looping, &start, 60, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut walk = carrying.action_index().walk_from(&start);
+            for (step, state) in states.iter().enumerate() {
+                assert_eq!(walk.tree(), state, "seed {seed} step {step}");
+                let scanned = looping.applicable_scan(state);
+                assert_eq!(walk.count(), scanned.len(), "seed {seed} step {step}");
+                let drawn: Vec<_> = (0..scanned.len())
+                    .map(|i| walk.nth(i).expect("in range"))
+                    .collect();
+                assert_eq!(drawn, scanned, "seed {seed} step {step}");
+                assert!(walk.nth(scanned.len()).is_none());
+                if step + 1 < states.len() {
+                    assert!(walk.step(&mut rng), "seed {seed} step {step}");
+                }
+            }
+            let endpoint = carrying.rollout(&start, 60, &mut StdRng::seed_from_u64(seed));
+            let expected = (states.len() > 1).then(|| states[states.len() - 1].clone());
+            assert_eq!(endpoint, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn walks_from_a_cached_state_insert_nothing() {
+        let engine = RuleEngine::default();
+        let start = initial_difftree(&figure1_queries());
+        engine.count_applicable(&start);
+        let before = engine.action_index().counters().insertions;
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert!(engine.rollout(&start, 200, &mut rng).is_some());
+        }
+        assert_eq!(engine.action_index().counters().insertions, before);
     }
 
     #[test]
@@ -385,7 +555,7 @@ mod tests {
         assert_eq!(engine.count_applicable(&concrete), 0);
         assert!(engine.first_applicable(&concrete).is_none());
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(engine.sample_applicable(&concrete, &mut rng).is_none());
+        assert!(engine.rollout(&concrete, 200, &mut rng).is_none());
         assert!(engine.applicable(&concrete).is_empty());
     }
 }

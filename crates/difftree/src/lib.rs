@@ -22,7 +22,8 @@
 //! * choice-domain descriptors used for widget selection ([`domain`]),
 //! * the initial-state builder ([`builder`]),
 //! * the transformation-rule engine ([`rules`]),
-//! * the incremental action index behind its applicability queries ([`index`]), and
+//! * the incremental action index behind its applicability queries and rollout walks
+//!   ([`index`]), and
 //! * the bounded generational memo cache shared by the long-lived caches ([`cache`]).
 
 pub mod builder;
@@ -37,6 +38,6 @@ pub use builder::{initial_difftree, simplified_difftree};
 pub use cache::{CacheCounters, GenerationCache, DEFAULT_CACHE_SHARDS};
 pub use derive::{changed_choice_paths, express_log, ChoiceAssignment, Expressor, LogEntry};
 pub use domain::{ChoiceDomain, DomainValueKind};
-pub use index::{ActionIndex, BindingSummary};
+pub use index::{ActionIndex, BindingSummary, CarriedWalk};
 pub use node::{DiffKind, DiffNode, DiffPath, DiffTree, Label, LabelId};
 pub use rules::{Rule, RuleApplication, RuleEngine, RuleId};

@@ -262,9 +262,10 @@ pub(crate) fn rewrite_rule(rule: RuleId, node: &DiffNode, arg: Option<usize>) ->
 /// Action generation is served by a shared [`ActionIndex`] (fingerprint-memoized per-subtree
 /// binding summaries): after one `replace_at` only the edited spine is re-matched, every
 /// off-spine subtree hits the memo, and revisited states are a root lookup. Clones of an
-/// engine share the index, so every concurrent search feeds the same cache.
-/// [`RuleEngine::applicable_scan`] keeps the full-walk reference implementation for tests
-/// and benchmarks.
+/// engine share the index, so every concurrent search feeds the same cache. Rollouts
+/// ([`RuleEngine::rollout`]) carry their states' summaries themselves and leave the shared
+/// cache to the search tree's states. [`RuleEngine::applicable_scan`] keeps the full-walk
+/// reference implementation for tests and benchmarks.
 #[derive(Clone)]
 pub struct RuleEngine {
     rules: Vec<RuleId>,
@@ -351,14 +352,24 @@ impl RuleEngine {
         self.index.first_applicable(tree)
     }
 
-    /// Draw one applicable application uniformly at random (same distribution as uniformly
-    /// indexing the materialised vector), or `None` for a dead-end state.
-    pub fn sample_applicable<R: rand::Rng>(
+    /// A bounded random walk of at most `depth` uniformly drawn rule applications from
+    /// `start` — the rollout of the paper's search. Returns the endpoint, or `None` when
+    /// the walk could not leave `start`.
+    ///
+    /// The walk carries each state's summary itself (a [`CarriedWalk`]): it reaches
+    /// exactly the states of a `count_applicable` / `nth_applicable` / `apply` loop on the
+    /// same rng, one `gen_range` per step, but no walk state enters the shared index.
+    ///
+    /// [`CarriedWalk`]: crate::index::CarriedWalk
+    pub fn rollout<R: rand::Rng>(
         &self,
-        tree: &DiffTree,
+        start: &DiffTree,
+        depth: usize,
         rng: &mut R,
-    ) -> Option<RuleApplication> {
-        self.index.sample_applicable(tree, rng)
+    ) -> Option<DiffTree> {
+        let mut walk = self.index.walk_from(start);
+        let steps = (0..depth).take_while(|_| walk.step(rng)).count();
+        (steps > 0).then(|| walk.into_tree())
     }
 
     /// Apply a rule application to the tree, producing the successor state.

@@ -11,15 +11,15 @@
 //!    the scan's applications (each one exactly once — uniformity by construction), and the
 //!    first out-of-range index yields `None`;
 //! 4. `first_applicable` equals `applicable().first()` (the `saturate_forward` fast path);
-//! 5. `sample_applicable` is deterministic per seed and only ever returns members of the
-//!    applicable set.
+//! 5. the carried rollout walk (`RuleEngine::rollout`) is deterministic per seed and ends
+//!    where the count/nth/apply loop it replaced ends on the same seed.
 
 use proptest::prelude::*;
 
 use mctsui_difftree::{initial_difftree, DiffTree, RuleEngine};
 use mctsui_sql::{parse_query, Ast};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn query_log() -> impl Strategy<Value = Vec<Ast>> {
     let table = prop_oneof![Just("stars"), Just("galaxies"), Just("quasars")];
@@ -98,25 +98,36 @@ proptest! {
     }
 
     #[test]
-    fn sampled_draws_are_seeded_members_of_the_applicable_set(
+    fn carried_walks_are_seeded_and_end_where_the_looped_walk_ends(
         queries in query_log(),
         seed in 0u64..1000,
+        depth in 0usize..80,
     ) {
-        let engine = RuleEngine::default();
-        let tree = initial_difftree(&queries);
-        let all = engine.applicable(&tree);
-        let mut a = StdRng::seed_from_u64(seed);
-        let mut b = StdRng::seed_from_u64(seed);
-        for _ in 0..16 {
-            let x = engine.sample_applicable(&tree, &mut a);
-            let y = engine.sample_applicable(&tree, &mut b);
-            // Same seed must give the same draw.
-            prop_assert_eq!(&x, &y);
-            match x {
-                Some(app) => prop_assert!(all.contains(&app)),
-                None => prop_assert!(all.is_empty()),
+        // Separate engines, so the loop's cache inserts cannot serve the carried walk.
+        let carrying = RuleEngine::default();
+        let looping = RuleEngine::default();
+        let start = initial_difftree(&queries);
+        let a = carrying.rollout(&start, depth, &mut StdRng::seed_from_u64(seed));
+        let b = carrying.rollout(&start, depth, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&a, &b);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state: Option<DiffTree> = None;
+        for _ in 0..depth {
+            let current = state.as_ref().unwrap_or(&start);
+            let count = looping.count_applicable(current);
+            if count == 0 {
+                break;
+            }
+            let app = looping
+                .nth_applicable(current, rng.gen_range(0..count))
+                .expect("index within the counted fanout");
+            match looping.apply(current, &app) {
+                Some(next) => state = Some(next),
+                None => break,
             }
         }
+        prop_assert_eq!(a, state);
     }
 
     #[test]

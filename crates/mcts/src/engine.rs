@@ -1,12 +1,9 @@
 //! The pieces of the UCT iteration that do not touch the handle's own state: the outcome
-//! types a finished search reports, the UCT child score and the rollout walk.
+//! types a finished search reports and the UCT child score.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::MctsConfig;
-use crate::problem::SearchProblem;
 use crate::tree::{SearchTree, TreeNode};
 
 /// One point of the best-reward-over-time trace.
@@ -88,39 +85,4 @@ pub(crate) fn select_child<S>(
         }
     }
     best
-}
-
-/// A bounded random walk from `start` whose endpoint's evaluation is owed to the caller.
-/// Returns `None` when the walk could not leave `start` (no applicable or successful
-/// action) — crucially, before the caller draws the endpoint's evaluation seed, since the
-/// endpoint is `start` itself and re-evaluating it (one full batch of `k` assignment
-/// samples for problems like interface search) would be wasted.
-///
-/// Each step draws its action through [`SearchProblem::action_count`] +
-/// [`SearchProblem::nth_action`], so problems with an indexed action set never
-/// materialise the full fanout vector here. The rng consumption (one `gen_range` per
-/// step) and the selected actions are identical to indexing a materialised vector, so
-/// seeded runs are unchanged.
-pub(crate) fn rollout_walk<P: SearchProblem>(
-    problem: &P,
-    config: &MctsConfig,
-    start: &P::State,
-    rng: &mut StdRng,
-) -> Option<P::State> {
-    let mut state: Option<P::State> = None;
-    for _ in 0..config.rollout_depth {
-        let current = state.as_ref().unwrap_or(start);
-        let count = problem.action_count(current);
-        if count == 0 {
-            break;
-        }
-        let Some(action) = problem.nth_action(current, rng.gen_range(0..count)) else {
-            break;
-        };
-        match problem.apply(current, &action) {
-            Some(next) => state = Some(next),
-            None => break,
-        }
-    }
-    state
 }

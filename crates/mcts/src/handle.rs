@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::MctsConfig;
-use crate::engine::{rollout_walk, select_child, RewardTracePoint, SearchOutcome, SearchStats};
+use crate::engine::{select_child, RewardTracePoint, SearchOutcome, SearchStats};
 use crate::problem::SearchProblem;
 use crate::snapshot::HandleSnapshot;
 use crate::tree::{NodeRecord, SearchTree};
@@ -229,8 +229,10 @@ impl<P: SearchProblem> SearchHandle<P> {
         // endpoint seed. The evaluations themselves are owed to the caller.
         let node_seed = self.rng.gen();
         let node_state = self.tree[expanded].state.clone();
-        let rollout =
-            rollout_walk(&self.problem, &self.config, &node_state, &mut self.rng).map(|state| {
+        let rollout = self
+            .problem
+            .rollout(&node_state, self.config.rollout_depth, &mut self.rng)
+            .map(|state| {
                 let seed = self.rng.gen();
                 (state, seed)
             });

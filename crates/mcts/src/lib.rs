@@ -10,7 +10,7 @@
 //!    `w/n + c·sqrt(ln N / n)` until a node with untried actions (or a dead end) is reached.
 //! 2. **Expansion** — materialise one untried action as a new child.
 //! 3. **Rollout** — perform a bounded random walk (the paper uses up to 200 steps) from the
-//!    new state and evaluate the final state's reward.
+//!    new state ([`SearchProblem::rollout`]) and evaluate the final state's reward.
 //! 4. **Backpropagation** — add the reward to every node on the path.
 //!
 //! There is one driver, [`SearchHandle`]. It owns the search tree (a plain `Vec` of nodes),
@@ -331,5 +331,66 @@ mod tests {
         let outcome = run(Stuck, MctsConfig::default().with_iterations(10));
         assert_eq!(outcome.best_state, 42);
         assert_eq!(outcome.best_reward, 42.0);
+    }
+
+    #[test]
+    fn searches_through_references_and_arcs_run_the_problems_own_rollout() {
+        // The forwarding impls must forward `rollout`: a provided method that is not
+        // forwarded silently runs the default loop instead of the problem's own walk.
+        use rand::rngs::StdRng;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        struct CountingWalks {
+            inner: BitFlip,
+            walks: AtomicUsize,
+        }
+        impl SearchProblem for CountingWalks {
+            type State = Vec<bool>;
+            type Action = usize;
+            fn initial_state(&self) -> Vec<bool> {
+                self.inner.initial_state()
+            }
+            fn actions(&self, state: &Vec<bool>) -> Vec<usize> {
+                self.inner.actions(state)
+            }
+            fn apply(&self, state: &Vec<bool>, action: &usize) -> Option<Vec<bool>> {
+                self.inner.apply(state, action)
+            }
+            fn rollout(
+                &self,
+                start: &Vec<bool>,
+                depth: usize,
+                rng: &mut StdRng,
+            ) -> Option<Vec<bool>> {
+                self.walks.fetch_add(1, Ordering::Relaxed);
+                self.inner.rollout(start, depth, rng)
+            }
+            fn reward(&self, state: &Vec<bool>, seed: u64) -> f64 {
+                self.inner.reward(state, seed)
+            }
+        }
+
+        let config = MctsConfig::default()
+            .with_iterations(20)
+            .with_rollout_depth(5);
+        let problem = CountingWalks {
+            inner: BitFlip { n: 6 },
+            walks: AtomicUsize::new(0),
+        };
+        let by_ref = run(&problem, config.clone());
+        let through_ref = problem.walks.load(Ordering::Relaxed);
+        assert!(
+            through_ref > 0,
+            "a search through `&P` skipped the override"
+        );
+
+        let shared = Arc::new(CountingWalks {
+            inner: BitFlip { n: 6 },
+            walks: AtomicUsize::new(0),
+        });
+        let by_arc = run(Arc::clone(&shared), config);
+        assert_eq!(shared.walks.load(Ordering::Relaxed), through_ref);
+        assert_eq!(by_ref.best_reward.to_bits(), by_arc.best_reward.to_bits());
     }
 }

@@ -1,5 +1,8 @@
 //! The search-problem abstraction the MCTS engine operates on.
 
+use rand::rngs::StdRng;
+use rand::Rng;
+
 /// A search problem: states, the actions available in each state, a transition function and a
 /// reward estimate for a state.
 ///
@@ -24,8 +27,9 @@ pub trait SearchProblem {
     fn apply(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State>;
 
     /// The number of actions applicable in `state` — `actions(state).len()` without the
-    /// vector. Rollouts call this every step, so problems with an indexed action set (like
-    /// interface search, whose rule engine caches per-subtree binding counts) should
+    /// vector. The engine calls it once per expanded node (and the default
+    /// [`SearchProblem::rollout`] once per step), so problems with an indexed action set
+    /// (like interface search, whose rule engine caches per-subtree binding counts) should
     /// override it; the default materialises the full set.
     fn action_count(&self, state: &Self::State) -> usize {
         self.actions(state).len()
@@ -43,6 +47,36 @@ pub trait SearchProblem {
         self.actions(state).into_iter().nth(index)
     }
 
+    /// A bounded random walk of at most `depth` steps from `start` — the rollout of one
+    /// iteration, whose endpoint's evaluation is owed to the caller. Returns `None` when
+    /// the walk could not leave `start` (no applicable or successful action), so the
+    /// caller neither draws an evaluation seed for nor re-evaluates `start` itself.
+    ///
+    /// The default draws each step through [`SearchProblem::action_count`] +
+    /// [`SearchProblem::nth_action`]: one `gen_range(0..count)` per step, picking exactly
+    /// what indexing the materialised [`SearchProblem::actions`] vector would. An override
+    /// must consume `rng` the same way and reach the same states — seeded searches are
+    /// pinned to this loop — but may keep whatever per-walk state makes a step cheaper
+    /// (interface search carries each state's action summary through the walk).
+    fn rollout(&self, start: &Self::State, depth: usize, rng: &mut StdRng) -> Option<Self::State> {
+        let mut state: Option<Self::State> = None;
+        for _ in 0..depth {
+            let current = state.as_ref().unwrap_or(start);
+            let count = self.action_count(current);
+            if count == 0 {
+                break;
+            }
+            let Some(action) = self.nth_action(current, rng.gen_range(0..count)) else {
+                break;
+            };
+            match self.apply(current, &action) {
+                Some(next) => state = Some(next),
+                None => break,
+            }
+        }
+        state
+    }
+
     /// Estimate the reward of `state` (higher is better). `eval_seed` is a deterministic
     /// per-call seed the problem may use for randomised evaluation (e.g. the `k` random
     /// widget assignments of the paper) so that runs stay reproducible.
@@ -51,8 +85,9 @@ pub trait SearchProblem {
 
 /// Every method is forwarded explicitly — including the provided-method defaults — because
 /// defaults are not inherited through a forwarding impl: without the `action_count` /
-/// `nth_action` forwards, rollouts through a reference would materialise the full fanout
-/// vector instead of hitting a problem's indexed action set.
+/// `nth_action` / `rollout` forwards, a search through a reference would silently fall back
+/// to the default loop (materialising the full fanout each step) instead of the problem's
+/// own indexed actions and walk.
 macro_rules! forward_search_problem {
     () => {
         type State = P::State;
@@ -72,6 +107,14 @@ macro_rules! forward_search_problem {
         }
         fn nth_action(&self, state: &Self::State, index: usize) -> Option<Self::Action> {
             (**self).nth_action(state, index)
+        }
+        fn rollout(
+            &self,
+            start: &Self::State,
+            depth: usize,
+            rng: &mut StdRng,
+        ) -> Option<Self::State> {
+            (**self).rollout(start, depth, rng)
         }
         fn reward(&self, state: &Self::State, eval_seed: u64) -> f64 {
             (**self).reward(state, eval_seed)

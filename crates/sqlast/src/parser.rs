@@ -197,9 +197,15 @@ impl Parser {
 
     /// Parse one `name AS (select)` common table expression.
     fn parse_cte(&mut self) -> Result<Ast> {
-        let name = match self.advance().kind {
+        let token = self.advance();
+        let name = match token.kind {
             TokenKind::Ident(name) => name,
-            _ => return Err(self.error_here("expected CTE name after WITH")),
+            _ => {
+                return Err(ParseError::new(
+                    "expected CTE name after WITH",
+                    token.offset,
+                ))
+            }
         };
         self.expect_keyword("AS")?;
         self.expect_symbol("(")?;
@@ -281,11 +287,17 @@ impl Parser {
         let expr = self.parse_expr()?;
         let mut children = vec![expr];
         if self.eat_keyword("AS") {
-            match self.advance().kind {
+            let token = self.advance();
+            match token.kind {
                 TokenKind::Ident(name) => {
                     children.push(Ast::leaf_with(NodeKind::Alias, Literal::str(name)));
                 }
-                _ => return Err(self.error_here("expected alias name after AS")),
+                _ => {
+                    return Err(ParseError::new(
+                        "expected alias name after AS",
+                        token.offset,
+                    ))
+                }
             }
         } else if matches!(self.peek().kind, TokenKind::Ident(_)) {
             // Bare alias: `SELECT count(*) n FROM ...`
@@ -307,9 +319,13 @@ impl Parser {
     }
 
     fn parse_table_ref(&mut self) -> Result<Ast> {
-        match self.advance().kind {
+        let token = self.advance();
+        match token.kind {
             TokenKind::Ident(name) => Ok(Ast::leaf_with(NodeKind::Table, Literal::str(name))),
-            _ => Err(self.error_here("expected table name in FROM clause")),
+            _ => Err(ParseError::new(
+                "expected table name in FROM clause",
+                token.offset,
+            )),
         }
     }
 
@@ -345,10 +361,11 @@ impl Parser {
     }
 
     fn parse_number_literal(&mut self) -> Result<Ast> {
-        match self.advance().kind {
+        let token = self.advance();
+        match token.kind {
             TokenKind::Int(v) => Ok(Ast::leaf_with(NodeKind::NumExpr, Literal::int(v))),
             TokenKind::Float(v) => Ok(Ast::leaf_with(NodeKind::NumExpr, Literal::float(v))),
-            _ => Err(self.error_here("expected a numeric literal")),
+            _ => Err(ParseError::new("expected a numeric literal", token.offset)),
         }
     }
 
@@ -1002,6 +1019,71 @@ mod tests {
             .find(|e| e.message.contains('@'))
             .expect("the stray `@` is diagnosed");
         assert_eq!(at.offset, 36);
+    }
+
+    /// The strict error and the lenient diagnostic of `sql` both point at byte `offset`,
+    /// and `sql[offset..]` starts with `token` (the offending token itself, not the next).
+    fn assert_error_at(sql: &str, offset: usize, token: &str, message: &str) {
+        assert!(sql[offset..].starts_with(token), "{sql:?} at {offset}");
+        let err = parse_query(sql).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (offset, message),
+            "{sql:?}"
+        );
+        let lenient = parse_query_lenient(sql);
+        let diagnostic = lenient
+            .errors
+            .iter()
+            .find(|e| e.message == message)
+            .unwrap_or_else(|| panic!("{sql:?}: no lenient `{message}`: {lenient:?}"));
+        assert_eq!(diagnostic.offset, offset, "{sql:?}");
+    }
+
+    #[test]
+    fn bad_table_name_is_reported_at_its_own_offset() {
+        assert_error_at(
+            "select x from 5 where a = 1",
+            14,
+            "5",
+            "expected table name in FROM clause",
+        );
+    }
+
+    #[test]
+    fn bad_numeric_literal_is_reported_at_its_own_offset() {
+        assert_error_at(
+            "select top zzz x from t",
+            11,
+            "zzz",
+            "expected a numeric literal",
+        );
+        assert_error_at(
+            "select x from t limit zzz",
+            22,
+            "zzz",
+            "expected a numeric literal",
+        );
+    }
+
+    #[test]
+    fn bad_cte_name_is_reported_at_its_own_offset() {
+        assert_error_at(
+            "with 5 as (select x from t) select x from t",
+            5,
+            "5",
+            "expected CTE name after WITH",
+        );
+    }
+
+    #[test]
+    fn bad_alias_after_as_is_reported_at_its_own_offset() {
+        assert_error_at(
+            "select x as 5 from t",
+            12,
+            "5",
+            "expected alias name after AS",
+        );
     }
 
     #[test]
