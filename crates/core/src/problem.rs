@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use mctsui_cost::{
-    evaluate_sampled, evaluate_sampled_many, evaluate_slots, ContextCache, CostWeights, EvalPlan,
-    EvalScratch, InterfaceCost, QueryContext,
+    evaluate_sampled, evaluate_slots, ContextCache, CostWeights, EvalPlan, EvalScratch,
+    InterfaceCost, QueryContext,
 };
 use mctsui_difftree::{DiffTree, RuleApplication, RuleEngine};
 use mctsui_mcts::SearchProblem;
@@ -166,23 +166,28 @@ impl InterfaceSearchProblem {
         (plan.skeleton.to_choice_map(&slots), cost)
     }
 
-    /// The reward of one state under many evaluation seeds, batched over its compiled
-    /// plan: the plan is fetched once, the greedy baseline is evaluated once, and all
-    /// `seeds.len() × k` sampled assignments run through the batched kernel. Each entry is
-    /// bit-identical to `reward(state, seeds[i])` — the batched serving scheduler's
-    /// determinism pins rely on that, so the equivalence is enforced by tests.
+    /// The reward of one state under each of `eval_seeds`, over one fetch of its compiled
+    /// plan. Entry `i` is bit-identical to `reward(state, eval_seeds[i])` (pinned by this
+    /// module's tests); perfbench's replay evaluates owed rewards through it.
     pub fn reward_many(&self, state: &DiffTree, eval_seeds: &[u64]) -> Vec<f64> {
         let plan = self.plan_for(state);
-        evaluate_sampled_many(
-            &plan,
+        eval_seeds
+            .iter()
+            .map(|&seed| self.sampled_reward(&plan, seed))
+            .collect()
+    }
+
+    /// The reward of a compiled plan under one evaluation seed: the negated cost of the best
+    /// of the greedy and `k` sampled assignments.
+    fn sampled_reward(&self, plan: &EvalPlan, eval_seed: u64) -> f64 {
+        let (_, cost) = evaluate_sampled(
+            plan,
             self.screen,
             &self.weights,
             self.assignments_per_eval,
-            eval_seeds,
-        )
-        .into_iter()
-        .map(|cost| cost.reward())
-        .collect()
+            eval_seed,
+        );
+        cost.reward()
     }
 }
 
@@ -223,16 +228,8 @@ impl SearchProblem for InterfaceSearchProblem {
 
     fn reward(&self, state: &DiffTree, eval_seed: u64) -> f64 {
         // The reward path skips the map conversion entirely: fetch the compiled plan once
-        // and batch the k + 1 slot evaluations over it.
-        let plan = self.plan_for(state);
-        let (_, cost) = evaluate_sampled(
-            &plan,
-            self.screen,
-            &self.weights,
-            self.assignments_per_eval,
-            eval_seed,
-        );
-        cost.reward()
+        // and fold the k + 1 slot evaluations over it.
+        self.sampled_reward(&self.plan_for(state), eval_seed)
     }
 }
 
@@ -325,6 +322,35 @@ mod tests {
             "a sequential search never runs cold"
         );
         assert_eq!(first, run());
+    }
+
+    #[test]
+    fn reward_many_matches_per_seed_rewards_along_a_seeded_walk() {
+        use rand::{Rng, SeedableRng};
+
+        let p = problem();
+        let seeds = [0u64, 7, 7, 12_345, u64::MAX];
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut state = p.initial_state();
+        for step in 0..40 {
+            let many = p.reward_many(&state, &seeds);
+            assert_eq!(many.len(), seeds.len());
+            for (&seed, got) in seeds.iter().zip(&many) {
+                assert_eq!(
+                    got.to_bits(),
+                    p.reward(&state, seed).to_bits(),
+                    "step {step}, seed {seed}"
+                );
+            }
+            let count = p.action_count(&state);
+            if count == 0 {
+                break;
+            }
+            let action = p
+                .nth_action(&state, rng.gen_range(0..count))
+                .expect("index below the action count");
+            state = p.apply(&state, &action).expect("applicable action applies");
+        }
     }
 
     #[test]

@@ -276,8 +276,8 @@ impl ContextCache {
         }
     }
 
-    /// Per-shard counters of the compiled-plan cache (the hot cache of the batched serving
-    /// path; one entry per shard).
+    /// Per-shard counters of the compiled-plan cache (one entry per shard; surfaced through
+    /// serving stats).
     pub fn plan_shard_counters(&self) -> Vec<CacheCounters> {
         self.plans.shard_counters()
     }
@@ -488,18 +488,6 @@ impl EvalPlan {
         }
         None
     }
-
-    /// The assignment-independent navigation term: the same left-to-right fold
-    /// [`evaluate_slots`] has always performed, exposed so batch evaluation can hoist it
-    /// out of the per-assignment loop without changing a bit of the result.
-    #[inline]
-    fn nav_total(&self) -> f64 {
-        let mut navigation = 0.0;
-        for nav in &self.nav_per_transition {
-            navigation += nav;
-        }
-        navigation
-    }
 }
 
 /// Reusable buffers for [`evaluate_slots`]; create once and share across evaluations to keep
@@ -522,43 +510,12 @@ pub fn evaluate_slots(
     if !plan.ctx.all_expressible {
         return InterfaceCost::invalid();
     }
-    evaluate_slots_hoisted(plan, slots, screen, weights, scratch, plan.nav_total())
-}
-
-/// Evaluate a whole batch of slot assignments against one compiled [`EvalPlan`],
-/// amortizing the assignment-independent work (expressibility verdict, transition
-/// validity, the navigation-term fold) across the batch. Results are bit-identical to
-/// calling [`evaluate_slots`] once per assignment, in order — the batched serving
-/// scheduler leans on this pin (and the crate's property tests enforce it).
-pub fn evaluate_batch(
-    plan: &EvalPlan,
-    batch: &[SlotAssignment],
-    screen: Screen,
-    weights: &CostWeights,
-    scratch: &mut EvalScratch,
-) -> Vec<InterfaceCost> {
-    if !plan.ctx.all_expressible {
-        return vec![InterfaceCost::invalid(); batch.len()];
+    // U(q_i, q_{i+1}, W), navigation half: assignment-independent, the per-transition
+    // Steiner counts summed left to right.
+    let mut navigation = 0.0;
+    for nav in &plan.nav_per_transition {
+        navigation += nav;
     }
-    let nav_total = plan.nav_total();
-    batch
-        .iter()
-        .map(|slots| evaluate_slots_hoisted(plan, slots, screen, weights, scratch, nav_total))
-        .collect()
-}
-
-/// The assignment-dependent tail of [`evaluate_slots`], with the assignment-independent
-/// prefix (`all_expressible`, the navigation fold) hoisted out by the caller. The fold
-/// order of every remaining sum matches the historical single-shot path exactly, keeping
-/// the arithmetic bitwise stable.
-fn evaluate_slots_hoisted(
-    plan: &EvalPlan,
-    slots: &SlotAssignment,
-    screen: Screen,
-    weights: &CostWeights,
-    scratch: &mut EvalScratch,
-    nav_total: f64,
-) -> InterfaceCost {
     let (w, h) = plan.skeleton.bounding_box(slots, &mut scratch.boxes);
     if !screen.fits(w, h) {
         return InterfaceCost::invalid();
@@ -580,8 +537,8 @@ fn evaluate_slots_hoisted(
         return InterfaceCost::invalid();
     }
 
-    // U(q_i, q_{i+1}, W): the navigation term is assignment-independent (precomputed); the
-    // interaction term is a table lookup per changed slot, in transition order.
+    // U(q_i, q_{i+1}, W): the interaction term is a table lookup per changed slot, in
+    // transition order; the navigation term was summed above.
     let mut interaction = 0.0;
     for &slot in &plan.changed_slots {
         let candidates = &plan.skeleton.choice_slots()[slot as usize]
@@ -593,7 +550,7 @@ fn evaluate_slots_hoisted(
 
     InterfaceCost::from_terms(
         appropriateness,
-        nav_total,
+        navigation,
         interaction,
         plan.skeleton.widget_count(),
         weights,
@@ -638,47 +595,6 @@ pub fn evaluate_sampled(
         }
     }
     (best, best_cost)
-}
-
-/// [`evaluate_sampled`] for many evaluation seeds over one compiled plan: the reward
-/// kernel of the batched serving scheduler. The greedy default assignment is evaluated
-/// *once* and reused as every seed's baseline (it is seed-independent), and all `k`
-/// samples of every seed go through [`evaluate_batch`] in one pass — per-seed results are
-/// bit-identical to calling `evaluate_sampled` in a loop (only the winning assignments,
-/// which the reward path discards, are not materialised).
-pub fn evaluate_sampled_many(
-    plan: &EvalPlan,
-    screen: Screen,
-    weights: &CostWeights,
-    k: usize,
-    eval_seeds: &[u64],
-) -> Vec<InterfaceCost> {
-    let mut scratch = EvalScratch::default();
-    let default_slots = plan.skeleton.default_slots();
-    let default_cost = evaluate_slots(plan, &default_slots, screen, weights, &mut scratch);
-
-    let mut samples: Vec<SlotAssignment> = Vec::with_capacity(eval_seeds.len() * k);
-    let mut sample = default_slots;
-    for &eval_seed in eval_seeds {
-        for i in 0..k as u64 {
-            let mut rng = StdRng::seed_from_u64(per_sample_seed(eval_seed, i));
-            plan.skeleton.sample_into(&mut sample, &mut rng);
-            samples.push(sample.clone());
-        }
-    }
-    let costs = evaluate_batch(plan, &samples, screen, weights, &mut scratch);
-
-    (0..eval_seeds.len())
-        .map(|s| {
-            let mut best_cost = default_cost;
-            for cost in &costs[s * k..(s + 1) * k] {
-                if cost.better_than(&best_cost) {
-                    best_cost = *cost;
-                }
-            }
-            best_cost
-        })
-        .collect()
 }
 
 #[cfg(test)]

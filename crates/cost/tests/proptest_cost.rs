@@ -7,21 +7,13 @@
 //! 3. A log with a single query has zero sequence cost.
 //! 4. Appending a query to the log never decreases the total cost (more transitions to pay
 //!    for, same widgets) as long as the query is expressible.
-//! 5. The batched kernel (`evaluate_batch`, `evaluate_sampled_many`) is bit-identical to
-//!    the corresponding sequence of single-assignment calls — the serving scheduler's
-//!    determinism pins rest on this.
 
 use proptest::prelude::*;
 
-use mctsui_cost::{
-    evaluate, evaluate_batch, evaluate_sampled, evaluate_sampled_many, evaluate_slots,
-    evaluate_with_context, ContextCache, CostWeights, EvalScratch, QueryContext,
-};
+use mctsui_cost::{evaluate, evaluate_with_context, CostWeights, QueryContext};
 use mctsui_difftree::{initial_difftree, DiffTree, RuleEngine};
 use mctsui_sql::{parse_query, Ast};
-use mctsui_widgets::{
-    build_widget_tree, default_assignment, random_assignment, Screen, SlotAssignment,
-};
+use mctsui_widgets::{build_widget_tree, default_assignment, random_assignment, Screen};
 
 fn query_log() -> impl Strategy<Value = Vec<Ast>> {
     let table = prop_oneof![Just("stars"), Just("galaxies")];
@@ -105,54 +97,6 @@ proptest! {
         extended.push(parse_query("select completely_other from another_table").unwrap());
         let cost = evaluate(&tree, &wt, &extended, &CostWeights::default());
         prop_assert!(!cost.valid);
-    }
-
-    #[test]
-    fn batched_evaluation_matches_sequential_slots(
-        queries in query_log(),
-        seeds in proptest::collection::vec(0u64..500, 1..6),
-    ) {
-        let tree = factored(&queries);
-        let cache = ContextCache::new(queries.into());
-        let plan = cache.plan_for(&tree);
-        let weights = CostWeights::default();
-        let batch: Vec<SlotAssignment> = seeds
-            .iter()
-            .map(|&seed| plan.skeleton.slots_from_map(&random_assignment(&tree, seed)))
-            .collect();
-        let batched = evaluate_batch(
-            &plan,
-            &batch,
-            Screen::wide(),
-            &weights,
-            &mut EvalScratch::default(),
-        );
-        prop_assert_eq!(batched.len(), batch.len());
-        let mut scratch = EvalScratch::default();
-        for (slots, got) in batch.iter().zip(&batched) {
-            let expect = evaluate_slots(&plan, slots, Screen::wide(), &weights, &mut scratch);
-            prop_assert_eq!(got.total.to_bits(), expect.total.to_bits());
-            prop_assert_eq!(*got, expect);
-        }
-    }
-
-    #[test]
-    fn sampled_many_matches_per_seed_sampled(
-        queries in query_log(),
-        seeds in proptest::collection::vec(0u64..500, 1..5),
-        k in 0usize..4,
-    ) {
-        let tree = factored(&queries);
-        let cache = ContextCache::new(queries.into());
-        let plan = cache.plan_for(&tree);
-        let weights = CostWeights::default();
-        let many = evaluate_sampled_many(&plan, Screen::wide(), &weights, k, &seeds);
-        prop_assert_eq!(many.len(), seeds.len());
-        for (&seed, got) in seeds.iter().zip(many) {
-            let (_, expect) = evaluate_sampled(&plan, Screen::wide(), &weights, k, seed);
-            prop_assert_eq!(got.total.to_bits(), expect.total.to_bits());
-            prop_assert_eq!(got, expect);
-        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! a user who asks for "a bit more search" on the same session warm-starts from the tree
 //! the previous request grew: the handle can be driven under per-request iteration caps and
 //! deadlines, paused indefinitely between slices, and queried for the anytime best-so-far
-//! answer at every point. The serving layer's batching co-scheduler splits each iteration
-//! at the reward evaluation ([`SearchHandle::begin_iteration`] /
-//! [`SearchHandle::complete_iteration`]) and evaluates a window of pending leaves at once.
+//! answer at every point. The serving layer's scheduler splits each iteration at the
+//! reward evaluation ([`SearchHandle::begin_iteration`] /
+//! [`SearchHandle::complete_iteration`]) and evaluates a window of pending leaves on
+//! whichever workers are idle.
 //!
 //! **Determinism pin:** slicing is invisible to the search. A handle driven in any sequence
 //! of slices consumes exactly the rng stream of one unbounded slice, so once the handle's
@@ -95,8 +96,8 @@ pub struct SliceReport {
 /// child) holds one virtual loss, so further `begin_iteration` calls before completion fan
 /// out over siblings instead of stampeding the same leaf. Reward evaluation is pure per
 /// `(state, seed)` and consumes no shared rng, so evaluating pending leaves out of line (on
-/// another thread, batched with leaves of other searches) cannot perturb the search
-/// stream.
+/// other threads, in any order) cannot perturb the search stream, as long as the leaves
+/// complete in begin order.
 pub struct PendingLeaf<S> {
     /// The iteration number this leaf was drawn for (1-based, as the handle counts them).
     pub iteration: usize,
@@ -170,7 +171,7 @@ impl<P: SearchProblem> SearchHandle<P> {
     /// Driving the handle as `begin → evaluate → complete`, one leaf at a time, is exactly
     /// [`SearchHandle::run_for`], so the split is invisible to the determinism pins.
     /// Beginning several iterations before completing any is also legal — that is the
-    /// window mode of a batching scheduler — but diversifies selection through the held
+    /// window mode of the serving scheduler — but diversifies selection through the held
     /// virtual losses, so it reproduces the sequential stream only with windows of one
     /// leaf.
     pub fn begin_iteration(&mut self) -> Option<PendingLeaf<P::State>> {
@@ -251,7 +252,7 @@ impl<P: SearchProblem> SearchHandle<P> {
     /// record, backpropagate the better of the two estimates and release the leaf's
     /// virtual losses. `rollout_reward` must be `Some` exactly when the leaf carried a
     /// rollout endpoint. Leaves of one window must be completed in `begin` order for the
-    /// deterministic-per-configuration contract of batching schedulers.
+    /// deterministic-per-configuration contract of windowed schedulers.
     pub fn complete_iteration(
         &mut self,
         leaf: PendingLeaf<P::State>,

@@ -27,9 +27,9 @@
 //! [`SearchHandle::complete_iteration`] backpropagates them. Beginning several leaves
 //! before completing any opens a *window*; every pending leaf holds a virtual loss on its
 //! path, so the leaves of one window spread over siblings instead of stampeding one leaf.
-//! The serving layer batches windows across sessions. Completed in begin order, a run of
-//! windows of `n` leaves depends only on `(seed, n)`, and a window of one leaf is the
-//! sequential search.
+//! The serving layer evaluates a window's leaves on idle workers. Completed in begin
+//! order, a run of windows of `n` leaves depends only on `(seed, n)`, and a window of one
+//! leaf is the sequential search.
 
 mod config;
 mod engine;
@@ -61,7 +61,7 @@ mod tests {
         handle.into_outcome()
     }
 
-    /// The same search in windows of `width` leaves, driven the way a batching scheduler
+    /// The same search in windows of `width` leaves, driven the way a windowed scheduler
     /// drives it: begin a window, evaluate its owed rewards, complete in begin order.
     fn run_windows<P: SearchProblem>(
         problem: P,

@@ -194,13 +194,9 @@ pub struct ScriptConfig {
     pub refines: usize,
     /// Deadline per request in milliseconds.
     pub deadline_millis: u64,
-    /// Session seed (sessions with distinct seeds explore differently).
+    /// Session seed (sessions with distinct seeds explore differently); session `i` of
+    /// [`run_concurrent_sessions`] gets `seed + i`.
     pub seed: u64,
-    /// Per-session seed increment used by [`run_concurrent_sessions`]: session `i` gets
-    /// `seed + i * seed_stride`. The default `1` makes every session explore differently;
-    /// `0` makes all sessions exact replicas (the same search stream over the same log —
-    /// the workload where cross-session same-plan batching coalesces hardest).
-    pub seed_stride: u64,
     /// Survive faults instead of failing fast: reconnect with jittered backoff on
     /// transport errors, reattach by session id with `Resume`, re-synthesize when the
     /// server reports the session gone (wedged/evicted). The anytime monotonicity check
@@ -223,7 +219,6 @@ impl Default for ScriptConfig {
             refines: 2,
             deadline_millis: 10_000,
             seed: 42,
-            seed_stride: 1,
             tolerate_faults: false,
             persist: false,
             appends: Vec::new(),
@@ -866,9 +861,7 @@ pub fn run_concurrent_sessions(
         let mut handles = Vec::with_capacity(sessions);
         for i in 0..sessions {
             let mut script = script.clone();
-            script.seed = script
-                .seed
-                .wrapping_add((i as u64).wrapping_mul(script.seed_stride));
+            script.seed = script.seed.wrapping_add(i as u64);
             let addr = addr.to_string();
             let queries = queries.to_vec();
             handles.push(scope.spawn(move || run_scripted_session(&addr, &queries, &script)));

@@ -1,5 +1,5 @@
 //! The serving engine: many concurrent synthesis sessions multiplexed onto a small worker
-//! pool with time-sliced budgets and cross-session batched leaf evaluation.
+//! pool with time-sliced budgets and one shared queue of leaf evaluations.
 //!
 //! # Architecture
 //!
@@ -15,26 +15,24 @@
 //!   registry: a popular dashboard log pays its expressibility work once, no matter how
 //!   many users open it. The hot shared maps — the session table and the generational
 //!   caches behind the problems — are sharded so a worker pool does not serialise on them.
-//! * **The co-scheduler** splits each admitted request into *windows*: a worker takes the
+//! * **The scheduler** splits each admitted request into *windows*: a worker takes the
 //!   session lock once, runs the select/expand front half of up to [`ServeConfig::batch`]
-//!   iterations ([`SearchHandle::begin_iteration`]), releases the lock and enqueues the
-//!   pending leaves on a **global leaf-evaluation queue**. Any worker drains that queue,
-//!   coalescing queued leaves of the *same compiled plan* (same problem, same difftree
-//!   fingerprint — common when siblings or concurrent sessions over one log touch the
-//!   same states) into one batched reward call
-//!   ([`InterfaceSearchProblem::reward_many`]), which amortises the per-plan setup of the
-//!   cost kernel. When a window's last evaluation lands, its completions are applied in
-//!   iteration order ([`SearchHandle::complete_iteration`]) and the remainder of the
-//!   request re-queues at the back — round-robin across sessions, so no request starves.
+//!   iterations ([`SearchHandle::begin_iteration`]), releases the lock and enqueues every
+//!   reward the window owes as one unit on a **global leaf queue**. Whichever worker pops a
+//!   unit evaluates it alone ([`SearchProblem::reward`]), so one window's leaves spread
+//!   over every idle worker. When a window's last evaluation lands, its completions are
+//!   applied in iteration order ([`SearchHandle::complete_iteration`]) and the remainder
+//!   of the request re-queues at the back — round-robin across sessions, so no request
+//!   starves.
 //! * **Admission** bounds what one request can claim (session cap, per-request iteration
 //!   cap, deadline cap) *at enqueue time*; a request whose deadline expires while its
 //!   leaves sit in the evaluation queue is aborted, not evaluated — its virtual losses are
 //!   reverted and its caller gets the anytime answer immediately.
 //! * **Determinism**: a window's evaluations are pure per `(state, seed)` and consume no
 //!   session rng, and completions are applied in begin order behind a window barrier, so a
-//!   session's search stream depends only on `(seed, batch)` — never on worker count or
-//!   batching luck. At `batch == 1` the stream is the sequential [`SearchHandle::run_for`]
-//!   stream bit-for-bit.
+//!   session's search stream depends only on `(seed, batch)` — never on worker count or on
+//!   which worker evaluates which leaf. At `batch == 1` the stream is the sequential
+//!   [`SearchHandle::run_for`] stream bit-for-bit.
 //! * **Anytime responses**: when a request's budget or deadline runs out, the caller gets
 //!   the best interface known *now*. More budget later never makes the answer worse
 //!   (the handle's best record is monotone).
@@ -52,7 +50,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashMap;
@@ -65,7 +63,7 @@ use mctsui_cost::{ContextCacheStats, CostWeights};
 use mctsui_difftree::{
     simplified_difftree, CacheCounters, DiffPath, DiffTree, LogEntry, RuleEngine,
 };
-use mctsui_mcts::{Budget, MctsConfig, PendingLeaf, SearchHandle};
+use mctsui_mcts::{Budget, MctsConfig, PendingLeaf, SearchHandle, SearchProblem};
 use mctsui_sql::{parse_query, print_query, Ast};
 use mctsui_widgets::Screen;
 
@@ -86,10 +84,11 @@ pub struct ServeConfig {
     pub default_request_iterations: u64,
     /// Admission cap on per-request deadlines (and the default for `deadline_millis == 0`).
     pub max_deadline_millis: u64,
-    /// Batch width: leaves one session window emits per turn, and the most queued leaves
-    /// one batched evaluation call coalesces. `1` reproduces the sequential per-session
-    /// search stream bit-for-bit; larger widths trade per-window rng divergence (virtual
-    /// losses diversify in-window selection) for batched-evaluation throughput.
+    /// Window width: the leaves one session window begins per turn before any of them
+    /// completes, each queued as its own evaluation. `1` reproduces the sequential
+    /// per-session search stream bit-for-bit; larger widths trade per-window divergence
+    /// (virtual losses diversify in-window selection) for spreading one window's
+    /// evaluations over idle workers.
     pub batch: usize,
     /// Shard count of the hot shared state: the session table and the per-log
     /// context/plan caches. Sharding never changes results, only lock contention.
@@ -182,7 +181,7 @@ impl ServeConfig {
         self
     }
 
-    /// Builder helper: set the batch width (window size and batched-call coalescing cap).
+    /// Builder helper: set the window width.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self
@@ -356,6 +355,10 @@ struct Session {
     /// function of `(seed, batch)` alone), so a work item that finds this set rotates to
     /// the back of the queue instead of opening a second window.
     window_active: bool,
+    /// Log edits waiting for the in-flight window to finalise. While non-zero no new
+    /// window opens: the worker that finalises a window would otherwise open the request's
+    /// next one before the woken edit retakes the lock, and a long refine would starve it.
+    edits_waiting: usize,
     /// The interaction session over the current best difftree, tagged with that tree's
     /// fingerprint so refines that change the best tree rebuild it lazily.
     interact: Option<(u64, InterfaceSession)>,
@@ -386,6 +389,7 @@ impl Session {
             handle,
             log,
             window_active: false,
+            edits_waiting: 0,
             interact: None,
             described: None,
             eval_seed,
@@ -395,11 +399,41 @@ impl Session {
     }
 }
 
+/// A live session behind its mutex, with the condvar log edits wait on until no window is
+/// in flight.
+struct SessionCell {
+    state: Mutex<Session>,
+    /// Notified whenever `window_active` is cleared.
+    quiescent: Condvar,
+}
+
+impl SessionCell {
+    fn new(session: Session) -> Self {
+        Self {
+            state: Mutex::new(session),
+            quiescent: Condvar::new(),
+        }
+    }
+
+    /// Lock the session, recovering a poisoned lock: a panic mid-turn quarantines the
+    /// session, and its state stays readable for the threads still holding the cell.
+    fn lock(&self) -> MutexGuard<'_, Session> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Clear the in-flight window flag, release the lock and wake waiting log edits.
+    fn end_window(&self, mut guard: MutexGuard<'_, Session>) {
+        guard.window_active = false;
+        drop(guard);
+        self.quiescent.notify_all();
+    }
+}
+
 /// The sharded session table. Lookups and admission hash the session id onto one of
 /// `shards` independent maps; the strict admission cap is enforced by a CAS loop on the
 /// shared live counter, so no global lock exists on the request hot path.
 struct SessionTable {
-    shards: Vec<Mutex<FxHashMap<u64, Arc<Mutex<Session>>>>>,
+    shards: Vec<Mutex<FxHashMap<u64, Arc<SessionCell>>>>,
     live: AtomicU64,
 }
 
@@ -413,12 +447,12 @@ impl SessionTable {
         }
     }
 
-    fn shard(&self, id: u64) -> &Mutex<FxHashMap<u64, Arc<Mutex<Session>>>> {
+    fn shard(&self, id: u64) -> &Mutex<FxHashMap<u64, Arc<SessionCell>>> {
         let mixed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         &self.shards[(mixed as usize) % self.shards.len()]
     }
 
-    fn get(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
+    fn get(&self, id: u64) -> Option<Arc<SessionCell>> {
         self.shard(id)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -437,7 +471,7 @@ impl SessionTable {
     /// concurrent synthesizes cannot overshoot the cap even across shards), then inserts.
     /// Refuses duplicate ids (two concurrent resumes of one session) and gives the
     /// claimed slot back, or the live counter would leak admission capacity.
-    fn try_insert(&self, id: u64, session: Arc<Mutex<Session>>, cap: usize) -> bool {
+    fn try_insert(&self, id: u64, session: Arc<SessionCell>, cap: usize) -> bool {
         loop {
             let live = self.live.load(Ordering::Acquire);
             if live >= cap as u64 {
@@ -464,7 +498,7 @@ impl SessionTable {
         true
     }
 
-    fn remove(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
+    fn remove(&self, id: u64) -> Option<Arc<SessionCell>> {
         let removed = self
             .shard(id)
             .lock()
@@ -556,7 +590,7 @@ impl Ticket {
 /// whole window if the request's deadline expired while its leaves were queued).
 struct Window {
     session_id: u64,
-    session: Arc<Mutex<Session>>,
+    session: Arc<SessionCell>,
     problem: Arc<InterfaceSearchProblem>,
     deadline: Instant,
     /// Iterations still owed to the request after this window completes.
@@ -587,9 +621,7 @@ enum LeafKind {
     Rollout,
 }
 
-/// One queued leaf evaluation: an owed `reward(state, seed)` call, tagged with its batching
-/// group — units of the same group share a compiled evaluation plan, so one worker can
-/// settle a whole group with a single batched kernel call.
+/// One queued leaf evaluation: a `reward(state, seed)` call owed to one slot of a window.
 struct EvalUnit {
     window: Arc<Window>,
     /// Index of the owning slot in the window.
@@ -597,14 +629,10 @@ struct EvalUnit {
     kind: LeafKind,
     state: DiffTree,
     seed: u64,
-    /// Batching key: (problem identity, difftree fingerprint). Same key ⇒ same compiled
-    /// plan ⇒ the rewards depend only on the seeds.
-    group: (usize, u64),
 }
 
-/// The two scheduler queues under one lock: admitted session turns and pending leaf
-/// evaluations. Workers prefer draining evaluations (they unblock waiting windows and are
-/// where batching happens); session turns refill the evaluation queue.
+/// The two scheduler queues under one lock: admitted session turns and queued leaf
+/// evaluations (which one a worker takes next is [`worker_loop`]'s turn preference).
 struct Scheduler {
     work: VecDeque<WorkItem>,
     leaves: VecDeque<EvalUnit>,
@@ -638,10 +666,9 @@ struct Shared {
     total_iterations: AtomicU64,
     total_slices: AtomicU64,
     peak_sessions: AtomicU64,
-    total_batches: AtomicU64,
-    total_batched_units: AtomicU64,
-    max_batch: AtomicU64,
-    batch_group_hits: AtomicU64,
+    /// Leaf evaluations run, each settling one owed reward (reported as both
+    /// `total_batches` and `total_batched_units`).
+    leaf_evaluations: AtomicU64,
     expired_windows: AtomicU64,
     expired_units: AtomicU64,
     /// Optional snapshot store ([`ServeConfig::snapshot_dir`]).
@@ -704,10 +731,7 @@ impl ServeEngine {
             total_iterations: AtomicU64::new(0),
             total_slices: AtomicU64::new(0),
             peak_sessions: AtomicU64::new(0),
-            total_batches: AtomicU64::new(0),
-            total_batched_units: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            batch_group_hits: AtomicU64::new(0),
+            leaf_evaluations: AtomicU64::new(0),
             expired_windows: AtomicU64::new(0),
             expired_units: AtomicU64::new(0),
             store,
@@ -836,7 +860,7 @@ impl ServeEngine {
     fn insert_session(&self, id: u64, session: Session) -> bool {
         let inserted = self.shared.sessions.try_insert(
             id,
-            Arc::new(Mutex::new(session)),
+            Arc::new(SessionCell::new(session)),
             self.shared.config.max_sessions,
         );
         if inserted {
@@ -881,8 +905,8 @@ impl ServeEngine {
                 return Err(ServeError::BadQuery(e.to_string()));
             }
         }
-        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let handle = self.session(session)?;
+        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.lock_quiescent(&handle)?;
         guard.last_touched = Instant::now();
 
@@ -911,8 +935,8 @@ impl ServeEngine {
     /// healthy query is rejected with [`ServeError::NoQueries`].
     pub fn retract(&self, session: u64, index: u64) -> Result<LogEditResult, ServeError> {
         self.ensure_open()?;
-        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let handle = self.session(session)?;
+        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.lock_quiescent(&handle)?;
         guard.last_touched = Instant::now();
 
@@ -966,7 +990,7 @@ impl ServeEngine {
     fn finish_log_edit(
         &self,
         session: u64,
-        mut guard: std::sync::MutexGuard<'_, Session>,
+        mut guard: MutexGuard<'_, Session>,
         replaced: Option<Arc<InterfaceSearchProblem>>,
     ) -> Result<LogEditResult, ServeError> {
         guard.snapshotted_iterations = None;
@@ -986,26 +1010,26 @@ impl ServeEngine {
     }
 
     /// Take the session lock at window quiescence. Log edits rebase the warm search
-    /// tree, which requires no leaves in flight; the bounded wait lets an in-flight
-    /// window finalise (windows are short — one batch of leaf evaluations) while a
-    /// session wedged mid-window reports [`ServeError::Busy`] instead of stalling the
-    /// connection forever.
+    /// tree, which requires no leaves in flight. The edit first counts itself in
+    /// `edits_waiting`, so no further window opens, then waits on the session's condvar
+    /// for the in-flight window to finalise (windows are short — one window's leaf
+    /// evaluations); a session wedged mid-window reports [`ServeError::Busy`] after 2 s
+    /// instead of stalling the connection forever.
     fn lock_quiescent<'a>(
         &self,
-        session: &'a Arc<Mutex<Session>>,
-    ) -> Result<std::sync::MutexGuard<'a, Session>, ServeError> {
-        let deadline = Instant::now() + Duration::from_millis(2_000);
-        loop {
-            let guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-            if !guard.window_active {
-                return Ok(guard);
-            }
-            drop(guard);
-            if Instant::now() >= deadline {
-                return Err(ServeError::Busy);
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        session: &'a SessionCell,
+    ) -> Result<MutexGuard<'a, Session>, ServeError> {
+        let mut guard = session.lock();
+        guard.edits_waiting += 1;
+        let (mut guard, _) = session
+            .quiescent
+            .wait_timeout_while(guard, Duration::from_millis(2_000), |s| s.window_active)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.edits_waiting -= 1;
+        if guard.window_active {
+            return Err(ServeError::Busy);
         }
+        Ok(guard)
     }
 
     /// Enqueue a bounded work item for `session`, wait for the scheduler to finish it and
@@ -1066,7 +1090,7 @@ impl ServeEngine {
     ) -> Result<SynthesisResult, ServeError> {
         let handle = self.session(session)?;
         let (best_tree, best_reward, best, problem, eval_seed, cached, diagnostics) = {
-            let guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = handle.lock();
             let best_tree = guard.handle.best_state().clone();
             let fingerprint = best_tree.fingerprint();
             let best_reward = guard.handle.best_reward();
@@ -1104,7 +1128,7 @@ impl ServeEngine {
                     self.shared.config.screen,
                     cost,
                 );
-                let mut guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut guard = handle.lock();
                 guard.described = Some((best_tree.fingerprint(), interface.clone()));
                 interface
             }
@@ -1134,9 +1158,9 @@ impl ServeEngine {
     /// re-derived SQL. The interaction state is rebuilt lazily whenever a refine has
     /// changed the best difftree (selections then reset to the log's first query).
     pub fn interact(&self, session: u64, action: &WidgetAction) -> Result<String, ServeError> {
-        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         let handle = self.session(session)?;
-        let mut guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
+        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
+        let mut guard = handle.lock();
         guard.last_touched = Instant::now();
 
         let best_tree = guard.handle.best_state().clone();
@@ -1193,8 +1217,8 @@ impl ServeEngine {
         }
     }
 
-    /// Engine-wide statistics: sessions, scheduler/batching counters and shared-cache
-    /// counters (aggregate and per shard).
+    /// Engine-wide statistics: sessions, scheduler counters and shared-cache counters
+    /// (aggregate and per shard).
     pub fn stats(&self) -> EngineStatsReport {
         let sessions = self.shared.sessions.len();
         let (queue_depth, leaf_queue_depth) = {
@@ -1232,9 +1256,7 @@ impl ServeEngine {
             }
         }
         drop(live);
-        let total_batches = self.shared.total_batches.load(Ordering::Relaxed);
-        let total_batched_units = self.shared.total_batched_units.load(Ordering::Relaxed);
-        let batch_group_hits = self.shared.batch_group_hits.load(Ordering::Relaxed);
+        let leaf_evaluations = self.shared.leaf_evaluations.load(Ordering::Relaxed);
         // Per-session log sizes: brief per-session locks (never held across the sweep),
         // sorted so the report is deterministic regardless of shard iteration order.
         let mut session_logs: Vec<SessionLogStat> = self
@@ -1244,7 +1266,7 @@ impl ServeEngine {
             .into_iter()
             .filter_map(|id| {
                 let session = self.shared.sessions.get(id)?;
-                let guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+                let guard = session.lock();
                 Some(SessionLogStat {
                     session: id,
                     entries: guard.log.len() as u64,
@@ -1261,20 +1283,9 @@ impl ServeEngine {
             total_requests: self.shared.total_requests.load(Ordering::Relaxed),
             total_iterations: self.shared.total_iterations.load(Ordering::Relaxed),
             total_slices: self.shared.total_slices.load(Ordering::Relaxed),
-            total_batches,
-            total_batched_units,
-            max_batch: self.shared.max_batch.load(Ordering::Relaxed),
-            mean_batch: if total_batches == 0 {
-                0.0
-            } else {
-                total_batched_units as f64 / total_batches as f64
-            },
-            batch_group_hits,
-            batch_group_hit_ratio: if total_batched_units == 0 {
-                0.0
-            } else {
-                batch_group_hits as f64 / total_batched_units as f64
-            },
+            total_batches: leaf_evaluations,
+            total_batched_units: leaf_evaluations,
+            batch_group_hits: 0,
             expired_windows: self.shared.expired_windows.load(Ordering::Relaxed),
             expired_units: self.shared.expired_units.load(Ordering::Relaxed),
             wedged_sessions: self.shared.wedged_sessions.load(Ordering::Relaxed),
@@ -1405,9 +1416,9 @@ impl ServeEngine {
     /// the restored session continues bit-identically to the uninterrupted run.
     pub fn resume(&self, session: u64) -> Result<SynthesisResult, ServeError> {
         self.ensure_open()?;
-        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         if self.shared.sessions.contains(session) {
             let reward = self.touch(session)?;
+            self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
             return self.anytime_result(session, reward);
         }
         let Some(store) = &self.shared.store else {
@@ -1447,6 +1458,7 @@ impl ServeEngine {
             }
             return Err(ServeError::Busy);
         }
+        self.shared.total_requests.fetch_add(1, Ordering::Relaxed);
         self.shared.sessions_resumed.fetch_add(1, Ordering::Relaxed);
         self.anytime_result(session, reward)
     }
@@ -1459,10 +1471,7 @@ impl ServeEngine {
             .ids()
             .into_iter()
             .filter_map(|id| self.shared.sessions.get(id))
-            .map(|session| {
-                let guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.handle.outstanding_virtual_loss()
-            })
+            .map(|session| session.lock().handle.outstanding_virtual_loss())
             .sum()
     }
 
@@ -1486,12 +1495,12 @@ impl ServeEngine {
     /// `improved` flag compares against.
     fn touch(&self, id: u64) -> Result<f64, ServeError> {
         let session = self.session(id)?;
-        let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = session.lock();
         guard.last_touched = Instant::now();
         Ok(guard.handle.best_reward())
     }
 
-    fn session(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServeError> {
+    fn session(&self, id: u64) -> Result<Arc<SessionCell>, ServeError> {
         self.shared
             .sessions
             .get(id)
@@ -1556,17 +1565,15 @@ impl Drop for ServeEngine {
 enum Job {
     /// Open the next window of a session (select/expand up to `batch` leaves).
     Turn(WorkItem),
-    /// Evaluate one coalesced batch of queued leaves (all of one batching group).
-    Batch(Vec<EvalUnit>),
+    /// Evaluate one queued leaf.
+    Leaf(EvalUnit),
 }
 
-/// One scheduler worker. Workers normally prefer *turns*: opening every runnable
-/// session's next window first is what fills the evaluation queue with leaves from many
-/// sessions at once, and cross-session same-plan coalescing only exists when it does (a
-/// leaves-first worker would drain each window the moment it was enqueued and never see
-/// two sessions' leaves side by side). After a fruitless turn (the session was busy and
-/// the item only rotated), the preference flips for one pick so queued leaves — the only
-/// possible progress — drain instead of spinning on blocked turns.
+/// One scheduler worker. Workers normally prefer *turns*: opening every runnable session's
+/// next window first fills the leaf queue, so a window's leaves wait where every idle
+/// worker can take one. After a fruitless turn (the session was busy and the item only
+/// rotated), the preference flips for one pick so queued leaves — the only possible
+/// progress — drain instead of spinning on blocked turns.
 fn worker_loop(shared: &Shared) {
     let mut prefer_leaves = false;
     loop {
@@ -1581,23 +1588,8 @@ fn worker_loop(shared: &Shared) {
                         break Job::Turn(item);
                     }
                 }
-                if let Some(head) = sched.leaves.pop_front() {
-                    // Coalesce up to `batch` queued units of the head's group (same
-                    // problem + same fingerprint ⇒ same compiled plan) into one batched
-                    // evaluation. The scan keeps relative order within and across groups.
-                    let cap = shared.config.batch.max(1);
-                    let group = head.group;
-                    let mut batch = Vec::with_capacity(cap);
-                    batch.push(head);
-                    let mut index = 0;
-                    while batch.len() < cap && index < sched.leaves.len() {
-                        if sched.leaves[index].group == group {
-                            batch.push(sched.leaves.remove(index).expect("index in bounds"));
-                        } else {
-                            index += 1;
-                        }
-                    }
-                    break Job::Batch(batch);
+                if let Some(unit) = sched.leaves.pop_front() {
+                    break Job::Leaf(unit);
                 }
                 if let Some(item) = sched.work.pop_front() {
                     break Job::Turn(item);
@@ -1609,11 +1601,11 @@ fn worker_loop(shared: &Shared) {
             }
         };
         prefer_leaves = match job {
-            Job::Batch(units) => {
-                // `run_batch` already fences the evaluation kernel; this outer catch is
-                // the backstop for everything else in the batch path, so no panic —
+            Job::Leaf(unit) => {
+                // `run_leaf` already fences the reward call; this outer catch is the
+                // backstop for everything else in the evaluation path, so no panic —
                 // injected or real — ever kills a scheduler worker.
-                if catch_unwind(AssertUnwindSafe(|| run_batch(shared, units))).is_err() {
+                if catch_unwind(AssertUnwindSafe(|| run_leaf(shared, unit))).is_err() {
                     shared.caught_panics.fetch_add(1, Ordering::Relaxed);
                 }
                 false
@@ -1675,11 +1667,11 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
     }
     // Don't sleep on a session another worker is serving — rotate the item and serve
     // someone else (work conservation under concurrent refines of one session).
-    let Ok(mut guard) = session.try_lock() else {
+    let Ok(mut guard) = session.state.try_lock() else {
         rotate_turn(shared, item);
         return false;
     };
-    if guard.window_active {
+    if guard.window_active || guard.edits_waiting > 0 {
         drop(guard);
         rotate_turn(shared, item);
         return false;
@@ -1746,7 +1738,6 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
         // path must restore every invariant (losses reverted, accounting unwound).
         window.aborted.store(true, Ordering::Release);
     }
-    let problem_key = Arc::as_ptr(&window.problem) as usize;
     let mut units = Vec::with_capacity(unit_count);
     let mut slots = Vec::with_capacity(pendings.len());
     for (slot, leaf) in pendings.into_iter().enumerate() {
@@ -1756,7 +1747,6 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
             kind: LeafKind::Node,
             state: leaf.node_state.clone(),
             seed: leaf.node_seed,
-            group: (problem_key, leaf.node_state.fingerprint()),
         });
         if let Some((state, seed)) = &leaf.rollout {
             units.push(EvalUnit {
@@ -1765,7 +1755,6 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
                 kind: LeafKind::Rollout,
                 state: state.clone(),
                 seed: *seed,
-                group: (problem_key, state.fingerprint()),
             });
         }
         slots.push(LeafSlot {
@@ -1799,106 +1788,54 @@ fn run_turn(shared: &Shared, item: WorkItem) -> bool {
     true
 }
 
-/// Evaluate one coalesced batch of leaf units (all of one batching group, i.e. one
-/// compiled plan). Units whose window's deadline has expired — or whose window was already
-/// aborted — are dropped unevaluated; the rest run through the batched cost kernel in one
-/// call, and each landed reward settles its window.
-fn run_batch(shared: &Shared, units: Vec<EvalUnit>) {
+/// Evaluate one queued leaf and settle it. A unit whose window's deadline has expired — or
+/// whose window was already aborted — is dropped unevaluated; otherwise its reward lands in
+/// its window's slot.
+fn run_leaf(shared: &Shared, unit: EvalUnit) {
     let fault = shared
         .config
         .fault
         .as_ref()
         .and_then(|plan| plan.on_batch());
     if let Some(EvalFault::DelayMillis(ms)) = fault {
-        // Injected stall *before* the expiry split: queued deadlines pass while the batch
-        // sleeps, exercising the in-queue expiry path without killing anything.
+        // Injected stall *before* the expiry check: queued deadlines pass while the
+        // evaluation sleeps, exercising the in-queue expiry path without killing anything.
         std::thread::sleep(FaultPlan::delay(ms));
     }
-    let now = Instant::now();
-    let mut live: Vec<EvalUnit> = Vec::with_capacity(units.len());
-    let mut dead: Vec<EvalUnit> = Vec::new();
-    for unit in units {
-        if now >= unit.window.deadline {
-            unit.window.aborted.store(true, Ordering::Release);
-        }
-        if unit.window.aborted.load(Ordering::Acquire) {
-            dead.push(unit);
-        } else {
-            live.push(unit);
-        }
+    let window = &unit.window;
+    if Instant::now() >= window.deadline {
+        window.aborted.store(true, Ordering::Release);
     }
-    if !live.is_empty() {
-        // Same group ⇒ same compiled plan ⇒ each reward depends only on its seed, so one
-        // state stands in for the whole batch, and units sharing a seed share one
-        // evaluation (replicated sessions over one log collapse to a single search's
-        // eval work). Bit-identical to per-unit `reward` calls (pinned by the
-        // `evaluate_sampled_many` tests); copying a deterministic result is the identity.
-        // The kernel call is fenced: a panic in it (injected or real) aborts every member
-        // window cleanly — losses reverted, waiters get the anytime answer, no session
-        // wedged — because the batch may span windows of several sessions.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, Some(EvalFault::Fail)) {
-                panic!("injected evaluation failure (fault plan)");
-            }
-            let mut seeds: Vec<u64> = Vec::with_capacity(live.len());
-            let seed_slots: Vec<usize> = live
-                .iter()
-                .map(|unit| match seeds.iter().position(|&s| s == unit.seed) {
-                    Some(at) => at,
-                    None => {
-                        seeds.push(unit.seed);
-                        seeds.len() - 1
-                    }
-                })
-                .collect();
-            let unique = live[0].window.problem.reward_many(&live[0].state, &seeds);
-            seed_slots
-                .into_iter()
-                .map(|at| unique[at])
-                .collect::<Vec<f64>>()
-        }));
-        match outcome {
-            Ok(rewards) => {
-                shared.total_batches.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .total_batched_units
-                    .fetch_add(live.len() as u64, Ordering::Relaxed);
-                shared
-                    .max_batch
-                    .fetch_max(live.len() as u64, Ordering::Relaxed);
-                shared
-                    .batch_group_hits
-                    .fetch_add(live.len() as u64 - 1, Ordering::Relaxed);
-                for (unit, reward) in live.into_iter().zip(rewards) {
-                    {
-                        let mut slots = unit
-                            .window
-                            .slots
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        let slot = &mut slots[unit.slot];
-                        match unit.kind {
-                            LeafKind::Node => slot.node_reward = Some(reward),
-                            LeafKind::Rollout => slot.rollout_reward = Some(reward),
-                        }
-                    }
-                    settle_unit(shared, &unit.window);
-                }
-            }
-            Err(_) => {
-                shared.caught_panics.fetch_add(1, Ordering::Relaxed);
-                for unit in live {
-                    unit.window.aborted.store(true, Ordering::Release);
-                    shared.expired_units.fetch_add(1, Ordering::Relaxed);
-                    settle_unit(shared, &unit.window);
-                }
-            }
-        }
-    }
-    for unit in dead {
+    if window.aborted.load(Ordering::Acquire) {
         shared.expired_units.fetch_add(1, Ordering::Relaxed);
-        settle_unit(shared, &unit.window);
+        settle_unit(shared, window);
+        return;
     }
+    // The reward call is fenced: a panic in it (injected or real) aborts this unit's window
+    // cleanly — losses reverted, the waiter gets the anytime answer, no session wedged.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if matches!(fault, Some(EvalFault::Fail)) {
+            panic!("injected evaluation failure (fault plan)");
+        }
+        window.problem.reward(&unit.state, unit.seed)
+    }));
+    match outcome {
+        Ok(reward) => {
+            let mut slots = window.slots.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = &mut slots[unit.slot];
+            match unit.kind {
+                LeafKind::Node => slot.node_reward = Some(reward),
+                LeafKind::Rollout => slot.rollout_reward = Some(reward),
+            }
+            shared.leaf_evaluations.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(_) => {
+            shared.caught_panics.fetch_add(1, Ordering::Relaxed);
+            window.aborted.store(true, Ordering::Release);
+            shared.expired_units.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    settle_unit(shared, window);
 }
 
 /// Mark one owed evaluation of a window as settled; the last one finalises the window.
@@ -1924,10 +1861,7 @@ fn finalize_window(shared: &Shared, window: &Arc<Window>) {
     shared.active_windows.fetch_sub(1, Ordering::AcqRel);
     let slots: Vec<LeafSlot> =
         std::mem::take(&mut *window.slots.lock().unwrap_or_else(PoisonError::into_inner));
-    let mut guard = window
-        .session
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut guard = window.session.lock();
     guard.last_touched = Instant::now();
     if window.aborted.load(Ordering::Acquire) {
         for slot in slots {
@@ -1935,8 +1869,7 @@ fn finalize_window(shared: &Shared, window: &Arc<Window>) {
                 guard.handle.abort_iteration(leaf);
             }
         }
-        guard.window_active = false;
-        drop(guard);
+        window.session.end_window(guard);
         shared.expired_windows.fetch_add(1, Ordering::Relaxed);
         // Anytime semantics: a deadline-expired request still gets its best-so-far (a
         // shutdown abort already failed the ticket; first completion wins).
@@ -1953,8 +1886,7 @@ fn finalize_window(shared: &Shared, window: &Arc<Window>) {
             .complete_iteration(leaf, node_reward, slot.rollout_reward);
     }
     let exhausted = guard.handle.is_exhausted();
-    guard.window_active = false;
-    drop(guard);
+    window.session.end_window(guard);
     shared
         .total_iterations
         .fetch_add(completed, Ordering::Relaxed);
@@ -1990,8 +1922,7 @@ fn quarantine(shared: &Shared, session_id: u64, ticket: &Ticket) {
     shared.caught_panics.fetch_add(1, Ordering::Relaxed);
     if let Some(session) = shared.sessions.remove(session_id) {
         shared.wedged_sessions.fetch_add(1, Ordering::Relaxed);
-        let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.window_active = false;
+        session.end_window(session.lock());
     }
     ticket.complete(Err(ServeError::Wedged(session_id)));
 }
@@ -2008,7 +1939,7 @@ fn persist_one(shared: &Shared, id: u64) -> bool {
         return false;
     };
     let snapshot = {
-        let guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = session.lock();
         if guard.window_active {
             // The next maintenance tick (or the drain loop, which waits for windows to
             // finalise first) retries.
@@ -2038,8 +1969,7 @@ fn persist_one(shared: &Shared, id: u64) -> bool {
         Ok(()) => {
             // Marked only after the rename committed; record what the file actually
             // holds, so a request that advanced the handle meanwhile stays dirty.
-            let mut guard = session.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.snapshotted_iterations = Some(iterations);
+            session.lock().snapshotted_iterations = Some(iterations);
             shared.snapshots_written.fetch_add(1, Ordering::Relaxed);
             true
         }
@@ -2071,7 +2001,7 @@ fn maintenance_loop(shared: &Shared) {
                 continue;
             };
             let idle = {
-                let guard = session.lock().unwrap_or_else(PoisonError::into_inner);
+                let guard = session.lock();
                 if guard.window_active {
                     continue;
                 }

@@ -4,10 +4,10 @@
 //! snapshot-isolation checkers (PAPERS.md): rather than trusting the recovery code, inject
 //! faults at seeded, reproducible points and check the recorded behaviour against exact
 //! invariants at quiescence. A [`FaultPlan`] is the injection half: a set of trigger points
-//! counted in *logical* time (worker turns started, evaluation batches run, connections
-//! accepted), so a plan fires at the same logical instant on every run regardless of thread
-//! interleaving. The engine and server consult the plan at the matching sites; a `None`
-//! plan (the default) compiles to a no-op check per site.
+//! counted in *logical* time (worker turns started, queued leaf evaluations taken,
+//! connections accepted), so a plan fires at the same logical instant on every run
+//! regardless of thread interleaving. The engine and server consult the plan at the
+//! matching sites; a `None` plan (the default) compiles to a no-op check per site.
 //!
 //! Plans come from test code (built directly) or from the CLI as a compact spec string, so
 //! CI smoke jobs can run a release binary under faults:
@@ -16,7 +16,7 @@
 //! panic@5,panic@9,evalfail@3,evaldelay@7:25,expire@4,drop@2,drop@3
 //! ```
 //!
-//! means: panic the worker turn numbered 5 and 9, fail the 3rd evaluation batch, delay the
+//! means: panic the worker turn numbered 5 and 9, fail the 3rd leaf evaluation, delay the
 //! 7th by 25 ms, force-expire the window of turn 4, and sever connections 2 and 3.
 
 use std::collections::BTreeMap;
@@ -24,11 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// What an injected evaluation fault does to the batch it hits.
+/// What an injected evaluation fault does to the leaf evaluation it hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalFault {
-    /// Panic inside the evaluation call (the batch spans coalesced windows of possibly
-    /// several sessions; the engine must abort them all cleanly, wedging nobody).
+    /// Panic inside the reward call; the engine must abort the leaf's window cleanly,
+    /// wedging nobody.
     Fail,
     /// Sleep this many milliseconds before evaluating — long enough for in-queue deadlines
     /// to expire, exercising the abort path without killing anything.
@@ -38,9 +38,9 @@ pub enum EvalFault {
 /// A seeded, reproducible schedule of injected faults, counted in logical time.
 ///
 /// All counters are global across threads (turn numbers are claimed with a single atomic),
-/// so a plan names faults by *the n-th turn/batch/connection engine-wide*, not per worker.
-/// Every consultation site is a cheap atomic increment plus a lookup in a small immutable
-/// map; an engine configured without a plan skips even that.
+/// so a plan names faults by *the n-th turn/leaf evaluation/connection engine-wide*, not
+/// per worker. Every consultation site is a cheap atomic increment plus a lookup in a small
+/// immutable map; an engine configured without a plan skips even that.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Turn numbers (1-based, in claim order) whose worker panics mid-window, after
@@ -49,14 +49,16 @@ pub struct FaultPlan {
     panic_turns: Vec<u64>,
     /// Turn numbers whose window is forced to expire in-queue (as if its deadline passed).
     expire_turns: Vec<u64>,
-    /// Evaluation batch numbers (1-based) → the fault to apply.
+    /// Leaf evaluation numbers (1-based, in the order workers take units off the leaf
+    /// queue) → the fault to apply.
     eval_faults: BTreeMap<u64, EvalFault>,
     /// Connection numbers (1-based, in accept order) severed immediately after accept.
     drop_connections: Vec<u64>,
     /// Turns started engine-wide (shared by panic and expire triggers).
     turn_counter: AtomicU64,
-    /// Evaluation batches run engine-wide.
-    batch_counter: AtomicU64,
+    /// Queued leaf evaluations taken engine-wide, including units dropped unevaluated
+    /// because their window had already expired.
+    eval_counter: AtomicU64,
     /// Connections accepted server-wide.
     connection_counter: AtomicU64,
     /// Human-readable log of every fault actually fired, in fire order.
@@ -81,9 +83,9 @@ impl FaultPlan {
         self
     }
 
-    /// Apply `fault` to evaluation batch number `batch` (1-based).
-    pub fn eval_fault_at(mut self, batch: u64, fault: EvalFault) -> Self {
-        self.eval_faults.insert(batch, fault);
+    /// Apply `fault` to leaf evaluation number `evaluation` (1-based).
+    pub fn eval_fault_at(mut self, evaluation: u64, fault: EvalFault) -> Self {
+        self.eval_faults.insert(evaluation, fault);
         self
     }
 
@@ -115,11 +117,13 @@ impl FaultPlan {
                 "drop" => plan = plan.drop_connection(parse_u64(at)?),
                 "evalfail" => plan = plan.eval_fault_at(parse_u64(at)?, EvalFault::Fail),
                 "evaldelay" => {
-                    let (batch, ms) = at.split_once(':').ok_or_else(|| {
-                        format!("evaldelay entry `{entry}` needs `@<batch>:<millis>`")
+                    let (evaluation, ms) = at.split_once(':').ok_or_else(|| {
+                        format!("evaldelay entry `{entry}` needs `@<evaluation>:<millis>`")
                     })?;
-                    plan = plan
-                        .eval_fault_at(parse_u64(batch)?, EvalFault::DelayMillis(parse_u64(ms)?));
+                    plan = plan.eval_fault_at(
+                        parse_u64(evaluation)?,
+                        EvalFault::DelayMillis(parse_u64(ms)?),
+                    );
                 }
                 other => return Err(format!("unknown fault kind `{other}` in `{entry}`")),
             }
@@ -144,15 +148,17 @@ impl FaultPlan {
         fault
     }
 
-    /// Claim the next evaluation batch number and return the fault to apply, if any. The
-    /// caller sleeps on [`EvalFault::DelayMillis`] and panics on [`EvalFault::Fail`].
+    /// Claim the next leaf evaluation number and return the fault to apply, if any. Called
+    /// once per unit taken off the leaf queue; the caller sleeps on
+    /// [`EvalFault::DelayMillis`] and panics on [`EvalFault::Fail`]. Fired faults are logged
+    /// as `evalfail@batch N` and `evaldelay@batch N (ms)`.
     pub(crate) fn on_batch(&self) -> Option<EvalFault> {
-        let batch = self.batch_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        let fault = self.eval_faults.get(&batch).copied();
+        let evaluation = self.eval_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        let fault = self.eval_faults.get(&evaluation).copied();
         match fault {
-            Some(EvalFault::Fail) => self.record(format!("evalfail@batch {batch}")),
+            Some(EvalFault::Fail) => self.record(format!("evalfail@batch {evaluation}")),
             Some(EvalFault::DelayMillis(ms)) => {
-                self.record(format!("evaldelay@batch {batch} ({ms} ms)"))
+                self.record(format!("evaldelay@batch {evaluation} ({ms} ms)"))
             }
             None => {}
         }

@@ -205,27 +205,23 @@ pub struct EngineStatsReport {
     pub peak_sessions: u64,
     /// Admitted work items (session windows owed a turn) currently queued.
     pub queue_depth: u64,
-    /// Pending leaf evaluations currently queued for batching.
+    /// Leaf evaluations currently queued.
     pub leaf_queue_depth: u64,
-    /// Requests admitted since startup (synthesize + refine + interact).
+    /// Requests served since startup: admitted synthesizes, plus refines, interactions,
+    /// appends, retracts and resumes whose session was found (live, or restored from a
+    /// snapshot by `resume`). Requests naming an unknown session are not counted.
     pub total_requests: u64,
     /// Search iterations executed since startup, summed over all sessions.
     pub total_iterations: u64,
     /// Scheduler slices (select/expand windows) executed since startup.
     pub total_slices: u64,
-    /// Batched evaluation calls executed since startup.
+    /// Leaf evaluations run since startup (each queued unit is evaluated alone).
     pub total_batches: u64,
-    /// Leaf evaluations settled through batched calls since startup.
+    /// Owed rewards settled by an evaluation since startup (equal to `total_batches`).
     pub total_batched_units: u64,
-    /// Largest single batched evaluation call so far.
-    pub max_batch: u64,
-    /// Mean leaf evaluations per batched call (`0` before the first batch).
-    pub mean_batch: f64,
-    /// Leaf evaluations that shared their batch with at least one other unit of the same
-    /// compiled plan (the cross-session amortisation the batching scheduler exists for).
+    /// Always `0`, since no two queued leaves share an evaluation. This field and the two
+    /// counters above stay until perfbench stops reading them (ROADMAP item 3).
     pub batch_group_hits: u64,
-    /// `batch_group_hits / total_batched_units` in `[0, 1]` (`0` before the first batch).
-    pub batch_group_hit_ratio: f64,
     /// Windows aborted before evaluation (request deadline expired while its leaves were
     /// queued, or engine shutdown) — their virtual losses were reverted, not evaluated.
     pub expired_windows: u64,
@@ -233,7 +229,7 @@ pub struct EngineStatsReport {
     pub expired_units: u64,
     /// Sessions quarantined after a worker panic (evicted; their waiters got `wedged`).
     pub wedged_sessions: u64,
-    /// Worker panics caught and contained (turn, finalisation and evaluation-kernel).
+    /// Worker panics caught and contained (turn, finalisation and leaf evaluation).
     pub caught_panics: u64,
     /// Session snapshot files written (periodic, idle and drain sweeps).
     pub snapshots_written: u64,
@@ -257,7 +253,7 @@ pub struct EngineStatsReport {
     pub uptime_millis: u64,
     /// Scheduler worker threads.
     pub threads: u64,
-    /// Configured batch width (max leaves per window and per batched call).
+    /// Configured window width (max leaves one window begins).
     pub batch: u64,
     /// Configured shard count (session table and per-log caches).
     pub shards: u64,
@@ -266,7 +262,7 @@ pub struct EngineStatsReport {
     /// Counters of the global rule-binding cache (shared by every session).
     pub action_index: CacheCounters,
     /// Per-shard counters of the per-log compiled-plan caches (element-wise sums over
-    /// live query logs; shard balance of the batching scheduler's hottest cache).
+    /// live query logs; shard balance of the reward path's hottest cache).
     pub plan_cache_shards: Vec<CacheCounters>,
     /// Per-shard counters of the global rule-binding cache.
     pub action_index_shards: Vec<CacheCounters>,

@@ -38,7 +38,6 @@ fn scripted_session_round_trips_over_tcp() {
         refines: 2,
         deadline_millis: 10_000,
         seed: 7,
-        seed_stride: 1,
         ..ScriptConfig::default()
     };
     let report = run_scripted_session(&addr, &demo_queries(), &script).expect("scripted session");
@@ -74,7 +73,6 @@ fn eight_concurrent_scripted_sessions_succeed() {
         refines: 2,
         deadline_millis: 20_000,
         seed: 1,
-        seed_stride: 1,
         ..ScriptConfig::default()
     };
     let reports =
@@ -121,7 +119,6 @@ fn batched_load_accounts_for_every_iteration_and_batch() {
         refines: 1,
         deadline_millis: 60_000,
         seed: 5,
-        seed_stride: 1,
         ..ScriptConfig::default()
     };
     let reports =
@@ -132,9 +129,6 @@ fn batched_load_accounts_for_every_iteration_and_batch() {
     let stats = engine.stats();
     assert_eq!(stats.total_iterations, 4 * 15 + 1);
     assert!(stats.total_batches > 0, "batched evaluation never ran");
-    assert!(stats.mean_batch >= 1.0);
-    assert!((1..=8).contains(&stats.max_batch));
-    assert!((0.0..=1.0).contains(&stats.batch_group_hit_ratio));
     assert!(
         stats.context_cache.plans.hit_ratio() > 0.0,
         "the probe lost the cache stats"

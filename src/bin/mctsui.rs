@@ -28,8 +28,8 @@
 //!   --addr <host:port>           bind address (default: 127.0.0.1:7878)
 //!   --threads <n>                scheduler worker threads (default: cpu count)
 //!   --max-sessions <n>           admission cap on live sessions (default: 256)
-//!   --batch <n>                  leaves per scheduler turn and per batched evaluation
-//!                                (default: 8; 1 = sequential)
+//!   --batch <n>                  leaves one session window begins per scheduler turn,
+//!                                each evaluated by an idle worker (default: 8; 1 = sequential)
 //!   --shards <n>                 session-table / cache shard count (default: 8)
 //!   --screen <wide|narrow|WxH>   target screen of generated interfaces
 //!   --snapshot-dir <path>        persist session snapshots here; resume after restart
